@@ -3,6 +3,7 @@ maximum-weight independent set problems on Chimera hardware graphs."""
 
 from .annealer import (
     TIMING_PROFILES,
+    Reads,
     Sample,
     SamplerConfig,
     SampleSet,

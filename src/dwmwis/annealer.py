@@ -22,6 +22,7 @@ from .qubo import BitVector, QuboMatrix
 
 __all__ = [
     "SamplerConfig",
+    "Reads",
     "Sample",
     "SampleSet",
     "TimingModel",
@@ -56,16 +57,22 @@ class TimingModel:
 
     def __post_init__(self) -> None:
         for name in ("t_prog", "t_sample", "t_post", "t_conv", "t_pre"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
     def is_zero(self) -> bool:
         return self.t_prog == self.t_sample == self.t_post == self.t_conv == self.t_pre == 0.0
 
     @classmethod
     def from_json(cls, text: str) -> "TimingModel":
+        """Parse a JSON object of constants; a malformed document raises ValueError."""
         obj = json.loads(text)
-        return cls(**{k: float(v) for k, v in obj.items()})
+        if not isinstance(obj, dict):
+            raise ValueError("timing profile must be a JSON object of constants")
+        try:
+            return cls(**{k: float(v) for k, v in obj.items()})
+        except TypeError as exc:  # unknown or missing constant, or a non-number
+            raise ValueError(f"timing profile: {exc}") from None
 
 
 # dwave2x: 20 ms programming, 380.2 us per anneal-readout-delay cycle, and a
@@ -110,6 +117,14 @@ class SamplerConfig:
                 raise ValueError(f"need t_hot > t_cold > 0, got {self.t_hot}, {self.t_cold}")
 
 
+@dataclass(frozen=True, eq=False)
+class Reads:
+    """Annealer output: ``samples[r]`` is the int8 bit vector of read r over
+    every physical qubit, one row per read in draw order."""
+
+    samples: np.ndarray
+
+
 @dataclass(frozen=True)
 class Sample:
     bits: BitVector
@@ -119,7 +134,7 @@ class Sample:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Aggregated annealer output in canonical (energy, bits) order."""
+    """Aggregated logical samples in canonical (energy, bits) order."""
 
     samples: tuple[Sample, ...]
     total: int
@@ -130,9 +145,6 @@ class SampleSet:
 
     def best_energy(self) -> float:
         return min(s.energy for s in self.samples)
-
-    def best(self) -> Sample:
-        return min(self.samples, key=lambda s: (s.energy, s.bits))
 
     @classmethod
     def from_samples(cls, entries: Iterable[tuple[BitVector, float, int]]) -> "SampleSet":
@@ -152,17 +164,6 @@ class SampleSet:
     def merge(cls, parts: Sequence["SampleSet"]) -> "SampleSet":
         return cls.from_samples((s.bits, s.energy, s.count) for p in parts for s in p.samples)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "total": self.total,
-                "samples": [
-                    {"bits": list(s.bits), "energy": s.energy, "count": s.count}
-                    for s in self.samples
-                ],
-            }
-        )
-
 
 def _schedule(q: QuboMatrix, active: Sequence[int], cfg: SamplerConfig) -> np.ndarray:
     magnitudes = [abs(v) for v in q.entries.values()]
@@ -174,13 +175,14 @@ def _schedule(q: QuboMatrix, active: Sequence[int], cfg: SamplerConfig) -> np.nd
     return np.geomspace(t_hot, t_cold, sweeps)
 
 
-def sample(qp: QuboMatrix, gp: Graph, cfg: SamplerConfig) -> SampleSet:
+def sample(qp: QuboMatrix, gp: Graph, cfg: SamplerConfig) -> Reads:
     """Draw ``cfg.num_samples`` independent annealing runs of the QUBO.
 
     Each run starts from uniform random bits and performs Metropolis
     single-bit-flip sweeps with incremental energy deltas; only couplings
     present in the matrix (all of which must be hardware edges) enter a
-    delta. Deterministic for a fixed seed.
+    delta. Qubits the matrix never touches keep their starting bits.
+    Deterministic for a fixed seed.
     """
     if qp.n != gp.n:
         raise ValueError(f"QUBO dimension {qp.n} != hardware size {gp.n}")
@@ -190,7 +192,7 @@ def sample(qp: QuboMatrix, gp: Graph, cfg: SamplerConfig) -> SampleSet:
 
     rng = np.random.default_rng(cfg.seed)
     reads = cfg.num_samples
-    bits = rng.integers(0, 2, size=(reads, qp.n)).astype(np.float64)
+    bits = rng.integers(0, 2, size=(reads, qp.n)).astype(np.int8)
 
     active = sorted({i for key in qp.entries for i in key})
     if active:
@@ -211,39 +213,28 @@ def sample(qp: QuboMatrix, gp: Graph, cfg: SamplerConfig) -> SampleSet:
         nbr_idx = [np.array(v, dtype=np.intp) for v in nbrs]
         nbr_w = [np.array(v) for v in nbr_weights]
 
-        state = bits[:, active].copy()
+        # qubit-major, as in Isakov et al. (arXiv:1401.1084): each update
+        # reads contiguous rows and rewrites its own row in place
+        state = np.ascontiguousarray(bits[:, active].T, dtype=np.float64)
+        threshold = np.empty((n_active, reads))
         for temperature in temps:
+            rng.random(out=threshold)
             with np.errstate(divide="ignore"):
-                threshold = -temperature * np.log(rng.random((n_active, reads)))
+                np.log(threshold, out=threshold)
+            threshold *= -temperature
             for a in range(n_active):
-                column = state[:, a]
-                if len(nbr_idx[a]):
-                    local = linear[a] + state[:, nbr_idx[a]] @ nbr_w[a]
-                else:
-                    local = linear[a]
-                delta = (1.0 - 2.0 * column) * local
-                flip = delta < threshold[a]
-                state[:, a] = np.where(flip, 1.0 - column, column)
-        bits[:, active] = state
-
-    int_bits = bits.astype(np.int8)
-    energies = _batch_energies(qp, int_bits)
-    unique, first, counts = np.unique(int_bits, axis=0, return_index=True, return_counts=True)
-    entries = [
-        (tuple(int(b) for b in row), float(energies[first[k]]), int(counts[k]))
-        for k, row in enumerate(unique)
-    ]
-    return SampleSet.from_samples(entries)
-
-
-def _batch_energies(q: QuboMatrix, bits: np.ndarray) -> np.ndarray:
-    energies = np.zeros(len(bits))
-    for (i, j), value in q.entries.items():
-        if i == j:
-            energies += value * bits[:, i]
-        else:
-            energies += value * (bits[:, i] * bits[:, j])
-    return energies
+                row = state[a]
+                # a BLAS product, not a running sum: with six neighbours the
+                # two round differently and the pinned sampler output moves
+                local = nbr_w[a] @ state.take(nbr_idx[a], axis=0)
+                local += linear[a]
+                # delta = (1 - 2 x_a) * local; x_a flips when delta < threshold
+                sign = row * -2.0
+                sign += 1.0
+                local *= sign
+                np.not_equal(row, local < threshold[a], out=row)
+        bits[:, active] = state.T
+    return Reads(bits)
 
 
 def success_probability(ss: SampleSet, optimal_energy: float, tol: float = 1e-6) -> float:

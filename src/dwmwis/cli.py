@@ -157,7 +157,7 @@ def _timing(profile: str) -> TimingModel:
     if profile in TIMING_PROFILES:
         return timing_profile(profile)
     path = Path(profile)
-    if path.exists():
+    if path.is_file():
         return TimingModel.from_json(path.read_text())
     raise InputError(f"unknown timing profile {profile!r}")
 
@@ -194,10 +194,10 @@ def cmd_bench(manifest: RunManifest) -> int:
     embed_result = heuristic_embed(inst.graph, gp, seed=cfg.seed, max_tries=cfg.max_tries)
     try:
         record = run_hybrid(inst, gp, cfg, tm, baseline=baseline, embed_result=embed_result)
+        record = run_standard(inst, gp, cfg, tm, paired=record)
     except EmbeddingFailed as exc:
         print(f"error: embedding-failure: {exc}", file=sys.stderr)
         return EXIT_NO_EMBEDDING
-    record = run_standard(inst, gp, cfg, tm, paired=record)
 
     out = manifest.out
     out.mkdir(parents=True, exist_ok=True)

@@ -115,6 +115,7 @@ def test_criterion_3_clique_embeddings():
             assert emb.size() == 4 * k * (k + 1)
 
 
+@pytest.mark.slow
 def test_criterion_4_embedding_fuzz():
     with criterion(4, "heuristic embedding validity fuzz into chimera(12)"):
         started = time.perf_counter()
@@ -198,6 +199,7 @@ PROTOCOL_INSTANCES = [
 ]
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end_protocol():
     with criterion(8, "end-to-end m=100 protocol on the four reference graphs"):
         started = time.perf_counter()
@@ -250,3 +252,28 @@ def test_criterion_9_report_determinism(tmp_path, tree_weighted):
 
         assert masked_csv(outputs[0]) == masked_csv(outputs[1])
         assert masked_summary(outputs[0]) == masked_summary(outputs[1])
+
+
+def test_sampler_stream_pinned(tmp_path, tree_weighted):
+    # the criterion-9 run with its sampler output pinned: any change to the
+    # sampler's random draws or update order moves these columns
+    from dwmwis import instance_to_json
+
+    instance = tmp_path / "tree.json"
+    instance.write_text(instance_to_json(tree_weighted, gen_weights(5, 5, seed=3)))
+    out = tmp_path / "run"
+    code = cli.main([
+        "bench", "--graph", str(instance), "--chimera-k", "1",
+        "--timing-profile", "dwave2x", "--seed", "2",
+        "--samples", "200", "--out", str(out),
+    ])
+    assert code == cli.EXIT_OK
+    header, *rows = [line.split(",") for line in (out / "assignments.csv").read_text().splitlines()]
+    columns = [header.index(name) for name in ("s", "k99", "n_samples", "n_opt")]
+    assert [[row[c] for c in columns] for row in rows] == [
+        ["0.955", "1.485015283002401", "200", "191"],
+        ["1.0", "1.0", "200", "200"],
+        ["0.845", "2.4701473374718392", "200", "169"],
+        ["0.695", "3.8782225653501645", "200", "139"],
+        ["1.0", "1.0", "200", "200"],
+    ]

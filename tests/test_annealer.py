@@ -27,6 +27,11 @@ from dwmwis import (
 from oracles import exhaustive_qubo_minimum, grid_weights, random_graph
 
 
+def read_energies(q: QuboMatrix, reads) -> list[float]:
+    """Energy of every read, recomputed from its bits."""
+    return [energy(q, row) for row in reads.samples]
+
+
 def synthetic_sampleset(n_opt: int, n_total: int) -> SampleSet:
     entries = []
     if n_opt:
@@ -39,10 +44,10 @@ def synthetic_sampleset(n_opt: int, n_total: int) -> SampleSet:
 class TestSampler:
     def test_separable_problem_hits_all_ones(self, chip1):
         q = QuboMatrix(chip1.n, {(i, i): -1.0 for i in range(6)})
-        ss = sample(q, chip1, SamplerConfig(num_samples=50, seed=3))
-        for smp in ss.samples:
-            assert smp.bits[:6] == (1,) * 6
-        assert success_probability(ss, -6.0) == 1.0
+        reads = sample(q, chip1, SamplerConfig(num_samples=50, seed=3))
+        assert reads.samples.shape == (50, chip1.n)
+        assert (reads.samples[:, :6] == 1).all()
+        assert read_energies(q, reads) == [-6.0] * 50
 
     def test_worked_instance_reaches_optimum(self, tree_weighted, chip1, tree_embedding):
         q = mwis_to_qubo(tree_weighted, 12.0)
@@ -57,7 +62,9 @@ class TestSampler:
     def test_fixed_seed_reproduces_sampleset(self, chip1):
         q = QuboMatrix(chip1.n, {(0, 0): -1.0, (4, 4): -0.5, (0, 4): 2.0})
         cfg = SamplerConfig(num_samples=100, seed=12)
-        assert sample(q, chip1, cfg) == sample(q, chip1, cfg)
+        first, second = sample(q, chip1, cfg).samples, sample(q, chip1, cfg).samples
+        assert first.dtype == np.int8 and first.shape == (100, chip1.n)
+        assert np.array_equal(first, second)
 
     def test_dimension_mismatch_rejected(self, chip1):
         with pytest.raises(ValueError, match="dimension"):
@@ -76,10 +83,14 @@ class TestSampler:
         emb = heuristic_embed(g, chip2, seed=2, max_tries=4).embedding
         physical = embed_qubo(q, emb, chip2)
         scaled, _ = scale_to_unit(physical)
-        ss = sample(scaled, chip2, SamplerConfig(num_samples=64, seed=21))
-        for smp in ss.samples:
-            assert smp.energy == pytest.approx(energy(scaled, smp.bits), abs=1e-9)
-        assert sum(s.count for s in ss.samples) == ss.total == 64
+        reads = sample(scaled, chip2, SamplerConfig(num_samples=64, seed=21))
+        assert reads.samples.dtype == np.int8 and reads.samples.shape == (64, chip2.n)
+        assert set(np.unique(reads.samples)) <= {0, 1}
+        # energies live in the logical set, one per distinct logical bit vector
+        logical = logical_sampleset(reads, emb, weighted, ChainPolicy(), q)
+        for smp in logical.samples:
+            assert smp.energy == energy(q, smp.bits)
+        assert sum(s.count for s in logical.samples) == logical.total == 64
 
     @pytest.mark.parametrize("trial", range(5))
     def test_best_sample_matches_exhaustive_minimum(self, trial):
@@ -92,9 +103,9 @@ class TestSampler:
             if u < n_active and v < n_active and rng.random() < 0.7:
                 entries[(u, v)] = float(rng.uniform(-1.5, 1.5)) or 0.3
         q = QuboMatrix(gp.n, {k: v for k, v in entries.items() if v != 0.0})
-        ss = sample(q, gp, SamplerConfig(num_samples=200, seed=trial))
+        reads = sample(q, gp, SamplerConfig(num_samples=200, seed=trial))
         minimum, _ = exhaustive_qubo_minimum(q)
-        assert ss.best_energy() == pytest.approx(minimum, abs=1e-9)
+        assert min(read_energies(q, reads)) == pytest.approx(minimum, abs=1e-9)
 
     @pytest.mark.parametrize("trial", range(3))
     def test_exact_on_sixteen_qubit_hardware(self, trial):
@@ -108,9 +119,9 @@ class TestSampler:
             if rng.random() < 0.8:
                 entries[(u, v)] = float(rng.uniform(0.2, 2.5))
         q = QuboMatrix(gp.n, entries)
-        ss = sample(q, gp, SamplerConfig(num_samples=300, seed=trial))
+        reads = sample(q, gp, SamplerConfig(num_samples=300, seed=trial))
         minimum, _ = exhaustive_qubo_minimum(q)
-        assert ss.best_energy() == pytest.approx(minimum, abs=1e-9)
+        assert min(read_energies(q, reads)) == pytest.approx(minimum, abs=1e-9)
 
 
 class TestSuccessProbability:

@@ -10,23 +10,37 @@ from dwmwis import (
     AssignmentOutcome,
     BenchConfig,
     BenchmarkRecord,
+    ChainPolicy,
     DwmwisInstance,
     EmbeddingFailed,
     FamilySpec,
     Graph,
+    Reads,
+    SamplerConfig,
+    SampleSet,
     Unsolved,
+    WeightedGraph,
     chimera,
+    embed_qubo,
+    energy,
     gen_weights,
     generate_family,
+    heuristic_embed,
+    logical_sampleset,
+    mwis_to_qubo,
     ratios,
     record_csv,
     record_summary,
     run_classical,
     run_hybrid,
     run_standard,
+    sample,
+    scale_to_unit,
     timing_profile,
+    unembed,
 )
 from dwmwis.bench import SOLVED, UNSOLVED
+from oracles import grid_weights, random_graph
 
 
 def outcome(index, status=SOLVED, s=0.5, k99=6.0, t_proc=0.03):
@@ -243,6 +257,35 @@ class TestPipelines:
             inst, chip1, BenchConfig(seed=3, sample_budgets=(100,), threads=4), tm
         )
         assert deterministic_view(serial.outcomes) == deterministic_view(threaded.outcomes)
+
+
+class TestLogicalSampleset:
+    def test_matches_per_read_reference(self, chip2):
+        # the reference unembeds and scores every read on its own, then merges
+        broken = ties = 0
+        for seed in range(24):
+            rng = np.random.default_rng(900 + seed)
+            g = random_graph(int(rng.integers(5, 10)), 0.5, rng)
+            weighted = WeightedGraph(g, grid_weights(g.n, rng))
+            emb = heuristic_embed(g, chip2, seed=seed, max_tries=8).embedding
+            q = mwis_to_qubo(weighted, "auto")
+            q_scaled, _ = scale_to_unit(embed_qubo(q, emb, chip2))
+            annealed = sample(q_scaled, chip2, SamplerConfig(num_samples=100, sweeps=3, seed=seed))
+            uniform = rng.integers(0, 2, size=(200, chip2.n)).astype(np.int8)
+            reads = Reads(np.concatenate([annealed.samples, uniform]))
+
+            got = logical_sampleset(reads, emb, weighted, ChainPolicy(), q)
+            rows = [tuple(row) for row in reads.samples.tolist()]
+            want = SampleSet.from_samples(
+                (x, energy(q, x), 1) for x in (unembed(row, emb, weighted) for row in rows)
+            )
+            assert got == want, f"seed {seed}"
+            for row in rows:
+                for chain in emb.chains:
+                    ones = sum(row[qb] for qb in chain)
+                    broken += 0 < ones < len(chain)
+                    ties += 2 * ones == len(chain)
+        assert broken > 0 and ties > 0
 
 
 class TestReports:

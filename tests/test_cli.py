@@ -101,6 +101,42 @@ class TestBench:
         assert summary["lower_bound_only"] is True
         assert summary["R_H"] is None
 
+    def test_failed_reembedding_exit_code(self, tmp_path, capsys):
+        # seed 2 embeds Hypercube(4) in one try; the re-embedding seed 3 does not
+        code = run_cli(
+            "bench", "--family", "Hypercube", 4, "--m", 2, "--seed", 2,
+            "--chimera-k", 2, "--max-tries", 1, "--reembed-each",
+            "--samples", 50, "--sweeps", 10, "--out", tmp_path / "r",
+        )
+        assert code == cli.EXIT_NO_EMBEDDING
+        assert capsys.readouterr().err.startswith("error: embedding-failure:")
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"t_prog": 0.02, "t_sample": 0.0004, "t_post": 0.02, "t_extra": 1.0}',
+            "[0.02, 0.0004, 0.02]",
+        ],
+        ids=["unknown-key", "not-an-object"],
+    )
+    def test_malformed_timing_profile(self, tree_instance, tmp_path, capsys, document):
+        profile = tmp_path / "profile.json"
+        profile.write_text(document)
+        code = run_cli(
+            "bench", "--graph", tree_instance, "--timing-profile", profile,
+            "--out", tmp_path / "o",
+        )
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: input-error:") and err.count("\n") == 1
+
+    def test_timing_profile_directory(self, tree_instance, tmp_path):
+        code = run_cli(
+            "bench", "--graph", tree_instance, "--timing-profile", tmp_path,
+            "--out", tmp_path / "o",
+        )
+        assert code == cli.EXIT_INPUT
+
     def test_missing_instance_file(self, tmp_path):
         code = run_cli("bench", "--graph", tmp_path / "nope.json", "--out", tmp_path / "o")
         assert code == cli.EXIT_INPUT
