@@ -45,7 +45,7 @@ from .embedding import (
     unembed,  # the per-read form of logical_sampleset; perfbench's tracer counts its calls here
 )
 from .graphs import Graph, WeightedGraph, instance_to_json, parse_instance
-from .qubo import QuboMatrix, energy, mwis_to_qubo, repair, scale_to_unit
+from .qubo import QuboMatrix, energy, mwis_to_qubo, repairer, scale_to_unit
 
 __all__ = [
     "DwmwisInstance",
@@ -263,9 +263,10 @@ def logical_sampleset(
     # majority vote per chain; exact ties fall to 0, as in unembed
     votes = (2 * ones > lengths).astype(np.int8)
     rows, counts = np.unique(votes, axis=0, return_counts=True)
+    fix = repairer(weighted)
     entries = []
     for row, count in zip(rows.tolist(), counts.tolist()):
-        x = repair(weighted, row)
+        x = fix(row)
         entries.append((x, energy(q_logical, x), count))
     return SampleSet.from_samples(entries)
 

@@ -190,9 +190,10 @@ def cmd_bench(manifest: RunManifest) -> int:
     )
     gp = chimera(manifest.chimera_k)
 
-    baseline = run_classical(inst)
+    # embed first: a failed embedding exits before the exponential classical pass
     embed_result = heuristic_embed(inst.graph, gp, seed=cfg.seed, max_tries=cfg.max_tries)
     try:
+        baseline = run_classical(inst) if embed_result.ok else None
         record = run_hybrid(inst, gp, cfg, tm, baseline=baseline, embed_result=embed_result)
         record = run_standard(inst, gp, cfg, tm, paired=record)
     except EmbeddingFailed as exc:

@@ -51,16 +51,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChainPolicy:
-    """How chains are weighted and how broken chains are resolved."""
+    """How chains are weighted. Broken chains are always resolved by majority
+    vote (exact ties to 0) followed by ``repair``."""
 
     chain_strength: float | str = "auto"
-    tie_break: str = "majority-then-repair"
 
     def __post_init__(self) -> None:
         if self.chain_strength != "auto" and not float(self.chain_strength) > 0.0:
             raise ValueError(f"chain_strength must be positive, got {self.chain_strength}")
-        if self.tie_break != "majority-then-repair":
-            raise ValueError(f"unknown tie_break rule {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -198,42 +196,52 @@ def verify_embedding(gl: Graph, gp: Graph, emb: Embedding) -> EmbeddingCheck:
 def _dijkstra_to_chain(
     chain: set[int],
     adj: list[list[int]],
-    free: np.ndarray,
-    cost: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    free: list[bool],
+    cost: list[float],
+    goals: set[int] | None = None,
+) -> tuple[list[float], list[int]]:
     """Cheapest free-qubit routes ending next to ``chain``.
 
     ``dist[q]`` is the total cost of free qubits on the best path from q to a
     qubit adjacent to the chain, q itself included; ``parent`` points one step
-    along that path (-1 at the chain-adjacent end).
+    along that path (-1 at the chain-adjacent end). With ``goals`` the search
+    stops once the popped distance exceeds that of the first goal popped: every
+    goal of least ``(dist, qubit)`` is then final, with its whole parent walk,
+    and every other goal's entry is larger or infinite.
     """
     n = len(adj)
-    dist = np.full(n, math.inf)
-    parent = np.full(n, -1, dtype=np.int64)
+    dist = [math.inf] * n
+    parent = [-1] * n
     heap: list[tuple[float, int]] = []
     for c in chain:
         for q in adj[c]:
             if free[q] and cost[q] < dist[q]:
                 dist[q] = cost[q]
                 heapq.heappush(heap, (cost[q], q))
+    bound = math.inf
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, q = heapq.heappop(heap)
+        d, q = pop(heap)
         if d > dist[q]:
             continue
+        if d > bound:
+            break
+        if goals is not None and q in goals:
+            bound = d
         for nb in adj[q]:
             if free[nb]:
                 nd = d + cost[nb]
                 if nd < dist[nb]:
                     dist[nb] = nd
                     parent[nb] = q
-                    heapq.heappush(heap, (nd, nb))
+                    push(heap, (nd, nb))
     return dist, parent
 
 
-def _walk(parent: np.ndarray, start: int) -> list[int]:
+def _walk(parent: list[int], start: int) -> list[int]:
     path = [start]
     while parent[path[-1]] != -1:
-        path.append(int(parent[path[-1]]))
+        path.append(parent[path[-1]])
     return path
 
 
@@ -278,7 +286,16 @@ def _route_vertex(
     whole route joins the new chain.
     """
     cost = ws.cost()
-    fields = [_dijkstra_to_chain(t, ws.adj, ws.free, cost) for t in targets]
+    if len(targets) == 1:
+        # a lone target's least route cost is that of its cheapest free neighbour
+        frontier = [(cost[q], q) for q in _free_frontier(ws, targets[0])]
+        if not frontier:
+            return None
+        root = min(frontier)[1]
+        ws.occupy([root])
+        return {root}, [set()]
+    free, cost_list = ws.free.tolist(), cost.tolist()
+    fields = [_dijkstra_to_chain(t, ws.adj, free, cost_list) for t in targets]
     score = np.zeros(len(ws.free))
     for dist, _ in fields:
         score += dist
@@ -302,18 +319,15 @@ def _route_vertex(
         target = targets[t]
         if any(nb in target for q in chain for nb in ws.adj[q]):
             continue  # already adjacent, nothing to route
-        dist, parent = _dijkstra_to_chain(target, ws.adj, ws.free, ws.cost())
-        start = None
-        best_key = (math.inf, -1)
-        for q in sorted(chain):
-            for nb in ws.adj[q]:
-                if ws.free[nb] and math.isfinite(dist[nb]):
-                    key = (float(dist[nb]), nb)
-                    if start is None or key < best_key:
-                        start, best_key = nb, key
-        if start is None:
+        goals = _free_frontier(ws, chain)
+        dist, parent = _dijkstra_to_chain(
+            target, ws.adj, ws.free.tolist(), ws.cost().tolist(), goals
+        )
+        reached = [(dist[q], q) for q in goals if dist[q] < math.inf]
+        if not reached:
             rollback()
             return None
+        start = min(reached)[1]
         path = _walk(parent, start)  # start .. target-adjacent qubit, all free
         ws.occupy(path)
         if donate and len(path) > 1:
@@ -518,18 +532,14 @@ def auto_chain_strength(q: QuboMatrix, emb: Embedding, gp: Graph) -> float:
     bookkeeping stays exact.
     """
     inter, _ = _chain_structure(q, emb, gp)
-    load = _qubit_loads(q, emb, inter)
-    raw = 2.0 * (max(load.values()) if load else 0.0) + q.max_abs_entry()
-    if raw <= 0.0:
-        return 1.0
-    return math.ldexp(1.0, math.ceil(math.log2(raw)))
+    return _auto_strength(q, emb, inter)
 
 
-def _qubit_loads(
+def _auto_strength(
     q: QuboMatrix,
     emb: Embedding,
     inter: dict[tuple[int, int], list[tuple[int, int]]],
-) -> dict[int, float]:
+) -> float:
     load: dict[int, float] = {qb: 0.0 for chain in emb.chains for qb in chain}
     diag = q.diagonal()
     for v, chain in enumerate(emb.chains):
@@ -540,7 +550,10 @@ def _qubit_loads(
         for (p, r), part in zip(edges, _split_parts(q.entries[key], len(edges))):
             load[p] += abs(part)
             load[r] += abs(part)
-    return load
+    raw = 2.0 * (max(load.values()) if load else 0.0) + q.max_abs_entry()
+    if raw <= 0.0:
+        return 1.0
+    return math.ldexp(1.0, math.ceil(math.log2(raw)))
 
 
 def embed_qubo(
@@ -562,7 +575,7 @@ def embed_qubo(
 
     inter, intra = _chain_structure(q, emb, gp)
     if policy.chain_strength == "auto":
-        strength = auto_chain_strength(q, emb, gp)
+        strength = _auto_strength(q, emb, inter)
     else:
         strength = float(policy.chain_strength)
     if not strength > 0.0:

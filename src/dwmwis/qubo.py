@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .graphs import Graph, WeightedGraph
 
@@ -27,6 +27,7 @@ __all__ = [
     "auto_penalty",
     "decode",
     "repair",
+    "repairer",
     "scale_to_unit",
 ]
 
@@ -144,29 +145,37 @@ def repair(weighted: WeightedGraph, x: Sequence[int]) -> BitVector:
     whose addition preserves independence is added, scanned in ascending
     (weight, index) order. The objective never increases along the way.
     """
-    if len(x) != weighted.n:
-        raise ValueError(f"bit vector length {len(x)} != vertex count {weighted.n}")
-    w = weighted.weights
+    return repairer(weighted)(x)
+
+
+def repairer(weighted: WeightedGraph) -> Callable[[Sequence[int]], BitVector]:
+    """``repair`` on one weighted graph, for many vectors: the edge list, the
+    adjacency and the greedy scan order are built once."""
+    n, w = weighted.n, weighted.weights
     adj = weighted.graph.adjacency()
-    chosen = {i for i, bit in enumerate(x) if bit}
     edges = weighted.graph.sorted_edges()
+    order = sorted(range(n), key=lambda i: (w[i], i))
 
-    while True:
-        violated = next(((u, v) for u, v in edges if u in chosen and v in chosen), None)
-        if violated is None:
-            break
-        u, v = violated
-        if w[u] < w[v]:
-            chosen.discard(u)
-        elif w[v] < w[u]:
-            chosen.discard(v)
-        else:
-            chosen.discard(max(u, v))
+    def fix(x: Sequence[int]) -> BitVector:
+        if len(x) != n:
+            raise ValueError(f"bit vector length {len(x)} != vertex count {n}")
+        chosen = {i for i, bit in enumerate(x) if bit}
+        # clearing an endpoint never violates an edge, so one pass in edge
+        # order clears what rescanning from the first violated edge would
+        for u, v in edges:
+            if u in chosen and v in chosen:
+                if w[u] < w[v]:
+                    chosen.discard(u)
+                elif w[v] < w[u]:
+                    chosen.discard(v)
+                else:
+                    chosen.discard(max(u, v))
+        for v in order:
+            if v not in chosen and not (adj[v] & chosen):
+                chosen.add(v)
+        return tuple(1 if i in chosen else 0 for i in range(n))
 
-    for v in sorted(range(weighted.n), key=lambda i: (w[i], i)):
-        if v not in chosen and not (adj[v] & chosen):
-            chosen.add(v)
-    return tuple(1 if i in chosen else 0 for i in range(weighted.n))
+    return fix
 
 
 def scale_to_unit(q: QuboMatrix) -> tuple[QuboMatrix, float]:

@@ -79,6 +79,21 @@ class TestBench:
         )
         assert code == cli.EXIT_NO_EMBEDDING
 
+    def test_embedding_failure_exits_before_classical_pass(self, tmp_path, capsys, monkeypatch):
+        # 144 vertices cannot fit on 8 qubits; the exact B&B on Grid(12,12)
+        # would run for hours, so it must never start
+        def classical_pass(inst):
+            raise AssertionError("the classical pass ran before the embedding")
+
+        monkeypatch.setattr(cli, "run_classical", classical_pass)
+        code = run_cli(
+            "bench", "--family", "Grid", 12, 12, "--m", 1, "--chimera-k", 1,
+            "--out", tmp_path / "g",
+        )
+        assert code == cli.EXIT_NO_EMBEDDING
+        assert capsys.readouterr().err.startswith("error: embedding-failure:")
+        assert not (tmp_path / "g").exists()
+
     def test_unsolved_exit_code(self, tree_instance, tmp_path, monkeypatch):
         import dwmwis.cli as cli_mod
         from dataclasses import replace

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from dwmwis import (
     unembed,
     verify_embedding,
 )
+from dwmwis.embedding import _dijkstra_to_chain, _walk
 from oracles import dyadic_weights, exhaustive_qubo_minimum, random_graph
 
 
@@ -113,6 +116,79 @@ class TestHeuristic:
         result = heuristic_embed(g, gp, seed=trial, max_tries=8)
         assert result.ok
         assert verify_embedding(g, gp, result.embedding).ok
+
+
+def _chains_digest(result) -> str:
+    return hashlib.sha256(result.embedding.to_json().encode()).hexdigest()[:16]
+
+
+def _criterion_4_graph(trial: int) -> Graph:
+    """Graph ``trial`` of the criterion-4 generator (seed 777)."""
+    rng = np.random.default_rng(777)
+    for _ in range(trial + 1):
+        n = int(rng.integers(4, 21))
+        g = random_graph(n, float(rng.uniform(0.02, 0.3)), rng)
+    return g
+
+
+class TestEmbedderPinned:
+    """Chains and restart counts pinned for fixed inputs: a faster search must
+    return exactly these, not just embeddings as good."""
+
+    @pytest.mark.parametrize(
+        "family, params, digest, restarts",
+        [
+            ("Cycle", (20,), "13e2f66dd8967518", 1),
+            ("Star", (20,), "1b27184f4324f6b7", 8),
+            ("Complete", (8,), "0021930d527b8612", 8),
+            ("CompleteBipartite", (4, 4), "b5e695b078aa31d1", 8),
+        ],
+    )
+    def test_protocol_graphs_on_chimera_4(self, family, params, digest, restarts):
+        g = generate_family(FamilySpec(family, params))
+        result = heuristic_embed(g, chimera(4), seed=42)
+        assert (_chains_digest(result), result.restarts) == (digest, restarts)
+
+    @pytest.mark.parametrize(
+        "trial, digest", [(8, "bd84803ff5711395"), (9, "be8629c7fbf78154")]
+    )
+    def test_criterion_4_graphs_on_chimera_12(self, trial, digest):
+        result = heuristic_embed(_criterion_4_graph(trial), chimera(12), seed=trial, max_tries=8)
+        assert (_chains_digest(result), result.restarts) == (digest, 8)
+
+
+class TestRoutingSearch:
+    def test_early_stop_picks_the_full_search_route(self):
+        # odd cases draw costs from {1, 1.5, 2}, so that equal route costs,
+        # and goals tied at the least cost, are common
+        tied = 0
+        for case in range(60):
+            rng = np.random.default_rng(4100 + case)
+            gp = chimera(2 if case % 3 else 4)
+            adj = [sorted(s) for s in gp.adjacency()]
+            free = (rng.random(gp.n) < 0.8).tolist()
+            if case % 2:
+                cost = rng.choice([1.0, 1.5, 2.0], size=gp.n).tolist()
+            else:
+                cost = (1.0 + rng.random(gp.n)).tolist()
+            picks = rng.permutation(gp.n)[: 2 + int(rng.integers(0, 6))].tolist()
+            target, chain = set(picks[::2]), set(picks[1::2])
+            for q in picks:
+                free[q] = False
+            goals = {q for c in chain for q in adj[c] if free[q]}
+
+            full_dist, full_parent = _dijkstra_to_chain(target, adj, free, cost)
+            dist, parent = _dijkstra_to_chain(target, adj, free, cost, goals)
+            reached = sorted((full_dist[q], q) for q in goals if full_dist[q] < math.inf)
+            early = [(dist[q], q) for q in goals if dist[q] < math.inf]
+            if not reached:
+                assert not early
+                continue
+            start = reached[0][1]
+            assert min(early) == reached[0]
+            assert _walk(parent, start) == _walk(full_parent, start)
+            tied += len(reached) > 1 and reached[1][0] == reached[0][0]
+        assert tied >= 5
 
 
 class TestCliqueEmbedding:

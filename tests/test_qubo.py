@@ -19,6 +19,7 @@ from dwmwis import (
     repair,
     scale_to_unit,
 )
+from dwmwis.qubo import repairer
 from oracles import exhaustive_qubo_minimum, grid_weights, is_independent, random_graph
 
 # the worked five-vertex reduction with penalty 12
@@ -146,6 +147,34 @@ class TestRepair:
             fixed = repair(weighted, x)
             assert is_independent(g, decode(fixed))
             assert energy(q, fixed) <= energy(q, x)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_matches_rescanning_reference(self, trial):
+        # weights from {1, 2, 3} make equal-weight edges common
+        rng = np.random.default_rng(950 + trial)
+        g = random_graph(int(rng.integers(2, 13)), float(rng.uniform(0.2, 0.8)), rng)
+        weighted = WeightedGraph(g, tuple(float(v) for v in rng.integers(1, 4, size=g.n)))
+        fix = repairer(weighted)
+        for _ in range(30):
+            x = tuple(int(b) for b in rng.integers(0, 2, size=g.n))
+            assert fix(x) == repair(weighted, x) == _rescanning_repair(weighted, x)
+
+
+def _rescanning_repair(weighted, x):
+    """Reference repair that restarts its edge scan after every removal."""
+    w, edges = weighted.weights, weighted.graph.sorted_edges()
+    chosen = {i for i, bit in enumerate(x) if bit}
+    while True:
+        violated = [(u, v) for u, v in edges if u in chosen and v in chosen]
+        if not violated:
+            break
+        u, v = violated[0]
+        chosen.discard(u if w[u] < w[v] else v if w[v] < w[u] else max(u, v))
+    adj = weighted.graph.adjacency()
+    for v in sorted(range(weighted.n), key=lambda i: (w[i], i)):
+        if v not in chosen and not (adj[v] & chosen):
+            chosen.add(v)
+    return tuple(1 if i in chosen else 0 for i in range(weighted.n))
 
 
 class TestScaling:
