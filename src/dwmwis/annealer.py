@@ -71,7 +71,7 @@ class TimingModel:
             raise ValueError("timing profile must be a JSON object of constants")
         try:
             return cls(**{k: float(v) for k, v in obj.items()})
-        except TypeError as exc:  # unknown or missing constant, or a non-number
+        except (TypeError, OverflowError) as exc:  # bad or missing key, non-number, huge int
             raise ValueError(f"timing profile: {exc}") from None
 
 
@@ -96,15 +96,13 @@ def timing_profile(name: str) -> TimingModel:
 class SamplerConfig:
     """Controls one batch of annealing runs.
 
-    ``sweeps``, ``t_hot`` and ``t_cold`` default per instance: 64 sweeps per
-    active qubit, hottest temperature at the largest coefficient magnitude,
-    coldest at 1e-2 times the smallest.
+    ``sweeps`` defaults to 64 per active qubit. The temperature range comes
+    from the matrix: hottest at the largest coefficient magnitude, coldest at
+    1e-2 times the smallest.
     """
 
     num_samples: int = 1000
     sweeps: int | None = None
-    t_hot: float | None = None
-    t_cold: float | None = None
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self) -> None:
@@ -112,9 +110,6 @@ class SamplerConfig:
             raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
         if self.sweeps is not None and self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
-        if self.t_hot is not None and self.t_cold is not None:
-            if not (self.t_hot > self.t_cold > 0.0):
-                raise ValueError(f"need t_hot > t_cold > 0, got {self.t_hot}, {self.t_cold}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,12 +162,12 @@ class SampleSet:
 
 def _schedule(q: QuboMatrix, active: Sequence[int], cfg: SamplerConfig) -> np.ndarray:
     magnitudes = [abs(v) for v in q.entries.values()]
-    t_hot = cfg.t_hot if cfg.t_hot is not None else max(magnitudes)
-    t_cold = cfg.t_cold if cfg.t_cold is not None else 1e-2 * min(magnitudes)
-    if not (t_hot >= t_cold > 0.0):
-        raise ValueError(f"bad temperature range ({t_hot}, {t_cold})")
+    hottest = max(magnitudes)
+    coldest = 1e-2 * min(magnitudes)
+    if not (hottest >= coldest > 0.0):
+        raise ValueError(f"bad temperature range ({hottest}, {coldest})")
     sweeps = cfg.sweeps if cfg.sweeps is not None else 64 * len(active)
-    return np.geomspace(t_hot, t_cold, sweeps)
+    return np.geomspace(hottest, coldest, sweeps)
 
 
 def sample(qp: QuboMatrix, gp: Graph, cfg: SamplerConfig) -> Reads:

@@ -18,7 +18,6 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -151,22 +150,17 @@ def gen_weights(n: int, m: int, seed: int) -> tuple[tuple[float, ...], ...]:
 class BenchConfig:
     """Knobs for the sampling pipelines.
 
-    ``sample_budgets`` is the escalation ladder: stages run in order until at
-    least ``min_hits`` optimal samples have been seen, mirroring the
-    run-twice-then-escalate estimation protocol.
+    ``sample_budgets`` is the escalation ladder: stages run in order until an
+    optimal sample has been seen, mirroring the run-twice-then-escalate
+    estimation protocol.
     """
 
     seed: int = 0
     sample_budgets: tuple[int, ...] = (1000, 1000, 2000, 2000)
-    min_hits: int = 1
     p: float = 0.99
-    tol: float = 1e-6
     sweeps: int | None = None
     chain_policy: ChainPolicy = ChainPolicy()
     max_tries: int = 8
-    threads: int = 1
-    charge_embedding: bool = True
-    reembed_each: bool = False
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -175,8 +169,8 @@ class BenchConfig:
             raise ValueError(f"bad sample budgets {self.sample_budgets}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"confidence p must be in (0, 1), got {self.p}")
-        if self.min_hits < 1 or self.threads < 1 or self.max_tries < 1:
-            raise ValueError("min_hits, threads and max_tries must all be >= 1")
+        if self.max_tries < 1:
+            raise ValueError(f"max_tries must be >= 1, got {self.max_tries}")
 
 
 @dataclass(frozen=True)
@@ -250,7 +244,6 @@ def logical_sampleset(
     reads: Reads,
     emb: Embedding,
     weighted: WeightedGraph,
-    policy: ChainPolicy,
     q_logical: QuboMatrix,
 ) -> SampleSet:
     """Map the annealer's reads to logical space: majority vote, repair, then
@@ -296,14 +289,15 @@ def _solve_assignment(
             num_samples=budget, sweeps=cfg.sweeps, seed=(cfg.seed, 1000 + index, stage)
         )
         reads = sample(q_scaled, gp, sampler_cfg)
-        stages.append(logical_sampleset(reads, emb, weighted, cfg.chain_policy, q_logical))
+        stages.append(logical_sampleset(reads, emb, weighted, q_logical))
         n_total += budget
         merged = SampleSet.merge(stages)
-        n_opt = sum(s.count for s in merged.samples if s.energy <= optimal_energy + cfg.tol)
-        if n_opt >= cfg.min_hits:
+        s = success_probability(merged, optimal_energy)
+        if s > 0.0:
             break
 
-    s = success_probability(merged, optimal_energy, cfg.tol)
+    # s is the hit count over n_total, so rounding recovers the count exactly
+    n_opt = round(s * n_total)
     if s > 0.0:
         k99 = k_p(s, cfg.p)
         status = SOLVED
@@ -356,21 +350,11 @@ def run_hybrid(
     if baseline is None:
         baseline = run_classical(inst)
 
-    indices = range(inst.m)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda i: _solve_assignment(inst, i, emb, gp, cfg, tm, baseline.values[i]),
-                    indices,
-                )
-            )
-    else:
-        outcomes = [
-            _solve_assignment(inst, i, emb, gp, cfg, tm, baseline.values[i]) for i in indices
-        ]
+    outcomes = [
+        _solve_assignment(inst, i, emb, gp, cfg, tm, baseline.values[i]) for i in range(inst.m)
+    ]
 
-    charged = result.seconds if (cfg.charge_embedding and not tm.is_zero()) else 0.0
+    charged = 0.0 if tm.is_zero() else result.seconds
     per_assignment = [tm.t_conv + tm.t_pre + o.t_proc for o in outcomes]
     t_h = charged + math.fsum(per_assignment)
     t_std = t_h + (inst.m - 1) * charged
@@ -393,30 +377,25 @@ def run_hybrid(
 def run_standard(
     inst: DwmwisInstance,
     gp: Graph,
-    cfg: BenchConfig = BenchConfig(),
-    tm: TimingModel = TimingModel(0.0, 0.0, 0.0),
-    paired: BenchmarkRecord | None = None,
+    cfg: BenchConfig,
+    tm: TimingModel,
+    paired: BenchmarkRecord,
 ) -> BenchmarkRecord:
-    """Standard pipeline: the embedding cost is paid for every assignment.
+    """Standard pipeline with a real embedder run per assignment.
 
-    Reuses the paired hybrid record (same embedding, same samples) so the
-    analytic identity holds exactly. With ``cfg.reembed_each`` the embedder
-    really runs once per assignment and the measured times replace the
-    analytic total, for studies of embedding variance.
+    The hybrid record already carries the analytic standard total. This path
+    (``--reembed-each``) reruns the embedder for every assignment after the
+    first, reuses the paired record's samples, and replaces ``T_std`` with the
+    measured embedding times, for studies of embedding variance.
     """
-    if paired is None:
-        paired = run_hybrid(inst, gp, cfg, tm)
-    if not cfg.reembed_each:
-        return paired
     times = [paired.measured_t_embed]
     for i in range(1, inst.m):
         result = heuristic_embed(inst.graph, gp, seed=cfg.seed + i, max_tries=cfg.max_tries)
         if not result.ok:
             raise EmbeddingFailed(f"re-embedding run {i} of {inst.name!r} failed")
         times.append(result.seconds)
-    charge = cfg.charge_embedding and not tm.is_zero()
     per_assignment = [tm.t_conv + tm.t_pre + o.t_proc for o in paired.outcomes]
-    t_std = (math.fsum(times) if charge else 0.0) + math.fsum(per_assignment)
+    t_std = (0.0 if tm.is_zero() else math.fsum(times)) + math.fsum(per_assignment)
     return replace(paired, T_std=t_std, t_embed_each=tuple(times))
 
 

@@ -28,13 +28,12 @@ _PRUNE_MARGIN = 1e-9
 class ConstraintSet:
     """Weight-independent solver state for one graph.
 
-    ``pairs`` mirrors the edge set (one x_i + x_j <= 1 constraint per edge);
     ``order`` is the fixed descending-degree branching order and
-    ``neighbor_masks`` are adjacency bitsets over vertex indices.
+    ``neighbor_masks`` are adjacency bitsets over vertex indices; bit v of
+    mask u is the x_u + x_v <= 1 constraint of edge (u, v).
     """
 
     n: int
-    pairs: tuple[tuple[int, int], ...]
     order: tuple[int, ...]
     neighbor_masks: tuple[int, ...]
 
@@ -58,7 +57,6 @@ def build_constraints(g: Graph) -> ConstraintSet:
     order = sorted(range(g.n), key=lambda v: (-degrees[v], v))
     return ConstraintSet(
         n=g.n,
-        pairs=tuple(g.sorted_edges()),
         order=tuple(order),
         neighbor_masks=tuple(masks),
     )

@@ -13,7 +13,6 @@ unsolved assignments, 3 embedding failure, 4 input error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +23,7 @@ from .bench import (
     DwmwisInstance,
     EmbeddingFailed,
     gen_weights,
+    ratios,
     record_csv,
     record_summary,
     run_classical,
@@ -33,7 +33,6 @@ from .bench import (
 from .embedding import ChainPolicy, Embedding, heuristic_embed, verify_embedding
 from .graphs import (
     FamilySpec,
-    GraphFormatError,
     WeightedGraph,
     chimera,
     generate_family,
@@ -68,7 +67,6 @@ class RunManifest:
     profile: str = "dwave2x"
     p: float = 0.99
     out: Path | None = None
-    threads: int = 1
     reembed_each: bool = False
     max_tries: int = 8
     embedding_path: Path | None = None
@@ -85,8 +83,16 @@ def _positive(kind: type, name: str, value, minimum=1):
     return converted
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors (exit 4): argparse's own exit 2
+    would read as a benchmark with unsolved assignments."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dwmwis",
         description="Generate, embed, anneal, and benchmark dynamically weighted "
         "maximum-weight independent set instances.",
@@ -114,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"one of {sorted(TIMING_PROFILES)} or a JSON file of constants")
     bench.add_argument("--p", type=float, default=0.99, help="target success confidence")
     bench.add_argument("--out", type=Path, default=Path("bench-out"))
-    bench.add_argument("--threads", type=int, default=1)
     bench.add_argument("--reembed-each", action="store_true",
                        help="measure a real embedder run per assignment for the standard total")
     bench.add_argument("--max-tries", type=int, default=8)
@@ -135,8 +140,8 @@ def _family_spec(name: str, params: list[int]) -> FamilySpec:
 
 
 def _read(path: Path) -> str:
-    if not path.exists():
-        raise InputError(f"file not found: {path}")
+    if not path.is_file():
+        raise InputError(f"not a file: {path}")
     return path.read_text()
 
 
@@ -147,6 +152,8 @@ def cmd_gen(manifest: RunManifest) -> int:
     if manifest.out is None:
         print(text)
     else:
+        if manifest.out.is_dir():
+            raise InputError(f"--out names a directory: {manifest.out}")
         manifest.out.parent.mkdir(parents=True, exist_ok=True)
         manifest.out.write_text(text + "\n")
         print(f"wrote {manifest.family.label()} instance with m={manifest.m} to {manifest.out}")
@@ -185,9 +192,14 @@ def cmd_bench(manifest: RunManifest) -> int:
         sweeps=manifest.sweeps,
         chain_policy=ChainPolicy(chain_strength=strength),
         max_tries=manifest.max_tries,
-        threads=manifest.threads,
-        reembed_each=manifest.reembed_each,
     )
+    out = manifest.out
+    # the reports are written after the whole run, so unusable paths are rejected now
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise InputError(f"--out: {existing} is a file, not a directory")
+    if manifest.save_embedding is not None and manifest.save_embedding.is_dir():
+        raise InputError(f"--save-embedding names a directory: {manifest.save_embedding}")
     gp = chimera(manifest.chimera_k)
 
     # embed first: a failed embedding exits before the exponential classical pass
@@ -195,26 +207,28 @@ def cmd_bench(manifest: RunManifest) -> int:
     try:
         baseline = run_classical(inst) if embed_result.ok else None
         record = run_hybrid(inst, gp, cfg, tm, baseline=baseline, embed_result=embed_result)
-        record = run_standard(inst, gp, cfg, tm, paired=record)
+        if manifest.reembed_each:
+            record = run_standard(inst, gp, cfg, tm, paired=record)
     except EmbeddingFailed as exc:
         print(f"error: embedding-failure: {exc}", file=sys.stderr)
         return EXIT_NO_EMBEDDING
 
-    out = manifest.out
     out.mkdir(parents=True, exist_ok=True)
     (out / "assignments.csv").write_text(record_csv(record))
     (out / "summary.json").write_text(record_summary(record) + "\n")
-    if manifest.save_embedding is not None and embed_result.ok:
+    if manifest.save_embedding is not None:
         manifest.save_embedding.parent.mkdir(parents=True, exist_ok=True)
         manifest.save_embedding.write_text(embed_result.embedding.to_json() + "\n")
 
-    summary = json.loads(record_summary(record))
-    print(
-        f"{inst.name}: {summary['solved']}/{inst.m} solved, "
-        f"embedded order {summary['embedded_order']}, "
-        f"T_H={summary['T_H']:.6g}s T_std={summary['T_std']:.6g}s T_C={summary['T_C']:.6g}s"
-        + (f" R_H={summary['R_H']:.4g} R_C={summary['R_C']:.4g}" if summary["R_H"] else "")
+    line = (
+        f"{inst.name}: {record.solved_count}/{inst.m} solved, "
+        f"embedded order {record.embedded_order}, "
+        f"T_H={record.T_H:.6g}s T_std={record.T_std:.6g}s T_C={record.T_C:.6g}s"
     )
+    if record.all_solved:
+        r_h, r_c = ratios(record)
+        line += f" R_H={r_h:.4g} R_C={r_c:.4g}"
+    print(line)
     print(f"reports written to {out}/")
     return EXIT_OK if record.all_solved else EXIT_UNSOLVED
 
@@ -277,7 +291,6 @@ def _manifest(args: argparse.Namespace) -> RunManifest:
             profile=args.timing_profile,
             p=float(args.p),
             out=args.out,
-            threads=_positive(int, "--threads", args.threads),
             reembed_each=bool(args.reembed_each),
             max_tries=_positive(int, "--max-tries", args.max_tries),
             save_embedding=args.save_embedding,
@@ -293,19 +306,15 @@ def _manifest(args: argparse.Namespace) -> RunManifest:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         manifest = _manifest(args)
         if manifest.subcommand == "gen":
             return cmd_gen(manifest)
         if manifest.subcommand == "bench":
             return cmd_bench(manifest)
         return cmd_verify(manifest)
-    except (InputError, GraphFormatError) as exc:
-        print(f"error: input-error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except ValueError as exc:  # InputError and GraphFormatError included
         print(f"error: input-error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -57,8 +57,10 @@ class ChainPolicy:
     chain_strength: float | str = "auto"
 
     def __post_init__(self) -> None:
-        if self.chain_strength != "auto" and not float(self.chain_strength) > 0.0:
-            raise ValueError(f"chain_strength must be positive, got {self.chain_strength}")
+        if self.chain_strength != "auto" and not 0.0 < float(self.chain_strength) < math.inf:
+            raise ValueError(
+                f"chain_strength must be positive and finite, got {self.chain_strength}"
+            )
 
 
 @dataclass(frozen=True)
@@ -78,9 +80,6 @@ class Embedding:
 
     def max_chain_length(self) -> int:
         return max((len(c) for c in self.chains), default=0)
-
-    def used_qubits(self) -> frozenset[int]:
-        return frozenset(q for chain in self.chains for q in chain)
 
     def owner(self) -> dict[int, int]:
         """Map physical qubit -> owning logical vertex."""
@@ -105,7 +104,10 @@ class Embedding:
             key = str(v)
             if key not in raw:
                 raise ValueError(f"'chains' is missing logical vertex {v}")
-            chains.append(tuple(sorted(int(q) for q in raw[key])))
+            chain = raw[key]
+            if not isinstance(chain, list) or not all(type(q) is int for q in chain):
+                raise ValueError(f"chain of logical vertex {v} must be a list of qubit indices")
+            chains.append(tuple(sorted(chain)))
         return cls(chains=tuple(chains), physical=physical)
 
 
@@ -623,7 +625,6 @@ def unembed(
     x_phys: Sequence[int],
     emb: Embedding,
     weighted: WeightedGraph,
-    policy: ChainPolicy = ChainPolicy(),
 ) -> BitVector:
     """Resolve a physical sample to a feasible logical selection.
 

@@ -311,7 +311,10 @@ def _parse_weight_vector(raw: object, n: int, where: str) -> tuple[float, ...]:
             isinstance(value, (int, float)) and not isinstance(value, bool),
             f"{where}[{i}]: expected a number, got {value!r}",
         )
-        w = float(value)
+        try:
+            w = float(value)
+        except OverflowError:  # an integer beyond the float range
+            w = math.inf
         _require(math.isfinite(w), f"{where}[{i}]: must be finite, got {w}")
         _require(w > 0.0, f"{where}[{i}]: weights must be positive, got {w}")
         weights.append(w)

@@ -69,27 +69,6 @@ class QuboMatrix:
     def max_abs_entry(self) -> float:
         return max(abs(v) for v in self.entries.values()) if self.entries else 0.0
 
-    def to_coo_text(self) -> str:
-        """Coordinate-list text form: one ``i j value`` line per entry, i <= j."""
-        lines = [f"{i} {j} {value!r}" for (i, j), value in sorted(self.entries.items())]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_coo_text(cls, text: str, n: int | None = None) -> "QuboMatrix":
-        entries: dict[tuple[int, int], float] = {}
-        top = 0
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 'i j value', got {line!r}")
-            i, j, value = int(parts[0]), int(parts[1]), float(parts[2])
-            entries[(i, j)] = value
-            top = max(top, j + 1)
-        return cls(n=n if n is not None else top, entries=entries)
-
 
 def energy(q: QuboMatrix, x: Sequence[int]) -> float:
     """Objective value ``sum_{i <= j} x_i Q_{ij} x_j`` (diagonal counted once)."""

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dwmwis import (
-    ChainPolicy,
     QuboMatrix,
     SamplerConfig,
     SampleSet,
@@ -54,7 +53,7 @@ class TestSampler:
         physical = embed_qubo(q, tree_embedding, chip1)
         scaled, _ = scale_to_unit(physical)
         ss = sample(scaled, chip1, SamplerConfig(num_samples=200, seed=9))
-        logical = logical_sampleset(ss, tree_embedding, tree_weighted, ChainPolicy(), q)
+        logical = logical_sampleset(ss, tree_embedding, tree_weighted, q)
         s = success_probability(logical, -9.0)
         assert s > 0.0
         assert logical.best_energy() == -9.0
@@ -87,7 +86,7 @@ class TestSampler:
         assert reads.samples.dtype == np.int8 and reads.samples.shape == (64, chip2.n)
         assert set(np.unique(reads.samples)) <= {0, 1}
         # energies live in the logical set, one per distinct logical bit vector
-        logical = logical_sampleset(reads, emb, weighted, ChainPolicy(), q)
+        logical = logical_sampleset(reads, emb, weighted, q)
         for smp in logical.samples:
             assert smp.energy == energy(q, smp.bits)
         assert sum(s.count for s in logical.samples) == logical.total == 64

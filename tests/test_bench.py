@@ -10,7 +10,6 @@ from dwmwis import (
     AssignmentOutcome,
     BenchConfig,
     BenchmarkRecord,
-    ChainPolicy,
     DwmwisInstance,
     EmbeddingFailed,
     FamilySpec,
@@ -180,12 +179,6 @@ def small_run(tree_graph, chip1):
     return inst, cfg, tm, record
 
 
-def deterministic_view(outcomes):
-    from dataclasses import replace
-
-    return [replace(o, t2_seconds=0.0) for o in outcomes]
-
-
 class TestPipelines:
     def test_all_solved_and_totals_ordered(self, small_run):
         _, _, _, record = small_run
@@ -206,16 +199,9 @@ class TestPipelines:
                             timing_profile("dwave2x"))
         assert record.T_H == record.T_std
 
-    def test_standard_reuses_paired_run(self, small_run):
-        inst, cfg, tm, record = small_run
-        assert run_standard(inst, chimera(1), cfg, tm, paired=record) is record
-
     def test_reembed_each_measures_every_run(self, small_run, chip1):
         inst, cfg, tm, record = small_run
-        cfg2 = BenchConfig(
-            seed=cfg.seed, sample_budgets=cfg.sample_budgets, reembed_each=True
-        )
-        redone = run_standard(inst, chip1, cfg2, tm, paired=record)
+        redone = run_standard(inst, chip1, cfg, tm, paired=record)
         assert redone.t_embed_each is not None
         assert len(redone.t_embed_each) == inst.m
         assert redone.T_std > 0.0
@@ -249,15 +235,6 @@ class TestPipelines:
             assert o.optimal_value == oracle_value
             assert -o.best_energy == oracle_value  # solver found the optimum
 
-    def test_threaded_run_matches_serial(self, tree_graph, chip1):
-        inst = DwmwisInstance(tree_graph, gen_weights(5, 4, seed=6))
-        tm = timing_profile("zero")
-        serial = run_hybrid(inst, chip1, BenchConfig(seed=3, sample_budgets=(100,)), tm)
-        threaded = run_hybrid(
-            inst, chip1, BenchConfig(seed=3, sample_budgets=(100,), threads=4), tm
-        )
-        assert deterministic_view(serial.outcomes) == deterministic_view(threaded.outcomes)
-
 
 class TestLogicalSampleset:
     def test_matches_per_read_reference(self, chip2):
@@ -274,7 +251,7 @@ class TestLogicalSampleset:
             uniform = rng.integers(0, 2, size=(200, chip2.n)).astype(np.int8)
             reads = Reads(np.concatenate([annealed.samples, uniform]))
 
-            got = logical_sampleset(reads, emb, weighted, ChainPolicy(), q)
+            got = logical_sampleset(reads, emb, weighted, q)
             rows = [tuple(row) for row in reads.samples.tolist()]
             want = SampleSet.from_samples(
                 (x, energy(q, x), 1) for x in (unembed(row, emb, weighted) for row in rows)

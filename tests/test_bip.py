@@ -20,16 +20,18 @@ from oracles import grid_weights, random_graph
 class TestBuildConstraints:
     def test_worked_example_has_four(self, tree_graph):
         cs = build_constraints(tree_graph)
-        assert len(cs.pairs) == 4
-        assert cs.pairs == ((0, 2), (1, 2), (2, 3), (3, 4))
+        # edges (0,2), (1,2), (2,3), (3,4) as adjacency bitsets
+        assert cs.neighbor_masks == (0b00100, 0b00100, 0b01011, 0b10100, 0b01000)
+        assert sum(bin(mask).count("1") for mask in cs.neighbor_masks) == 2 * 4
 
     def test_edgeless_graph_has_none(self):
         cs = build_constraints(Graph.from_edges(4, []))
-        assert cs.pairs == ()
+        assert cs.neighbor_masks == (0, 0, 0, 0)
 
     def test_k4_has_six(self):
         cs = build_constraints(generate_family(FamilySpec("Complete", (4,))))
-        assert len(cs.pairs) == 6
+        assert cs.neighbor_masks == tuple(0b1111 & ~(1 << v) for v in range(4))
+        assert sum(bin(mask).count("1") for mask in cs.neighbor_masks) == 2 * 6
 
     def test_branch_order_is_descending_degree(self, tree_graph):
         cs = build_constraints(tree_graph)
@@ -74,9 +76,9 @@ class TestSolve:
         solution = solve_bip(cs, weighted.weights)
         _, oracle_value = brute_force_mwis(weighted)
         assert solution.value == oracle_value
-        # feasibility: no constraint pair fully selected
+        # feasibility: no edge of the graph fully selected
         assert all(
-            not ({u, v} <= solution.vertices) for u, v in cs.pairs
+            not ({u, v} <= solution.vertices) for u, v in g.sorted_edges()
         )
         assert solution.value == math.fsum(
             weighted.weights[v] for v in sorted(solution.vertices)

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dwmwis import cli
 from dwmwis.bench import UNSOLVED
@@ -195,3 +201,188 @@ class TestVerify:
         emb.write_text("{}")
         code = run_cli("verify", "--graph", tree_instance, "--embedding", emb)
         assert code == cli.EXIT_INPUT
+
+
+# one bad input per row; {instance}, {dir}, {file} and {doc} are filled in
+# with the tree instance, an empty directory, a plain file, and a file holding
+# the row's document
+MALFORMED = {
+    "unknown-flag": (["bench", "--family", "Cycle", "5", "--threads", "2"], None),
+    "bad-int": (["bench", "--family", "Cycle", "5", "--m", "abc"], None),
+    "no-subcommand": ([], None),
+    "graph-is-a-directory": (["bench", "--graph", "{dir}"], None),
+    "verify-graph-is-a-directory": (
+        ["verify", "--graph", "{dir}", "--embedding", "{file}"], None
+    ),
+    "embedding-is-a-directory": (
+        ["verify", "--graph", "{instance}", "--embedding", "{dir}"], None
+    ),
+    "chain-not-a-list": (
+        ["verify", "--graph", "{instance}", "--embedding", "{doc}", "--chimera-k", "1"],
+        '{"chains": {"0": 5}}',
+    ),
+    "qubit-null": (
+        ["verify", "--graph", "{instance}", "--embedding", "{doc}", "--chimera-k", "1"],
+        '{"chains": {"0": [null]}}',
+    ),
+    "out-is-a-file": (["bench", "--graph", "{instance}", "--out", "{file}"], None),
+    "out-under-a-file": (["bench", "--graph", "{instance}", "--out", "{file}/run"], None),
+    "save-embedding-is-a-directory": (
+        ["bench", "--graph", "{instance}", "--save-embedding", "{dir}"], None
+    ),
+    "gen-out-is-a-directory": (["gen", "Cycle", "5", "--out", "{dir}"], None),
+    "chain-strength-inf": (
+        ["bench", "--family", "Complete", "5", "--chimera-k", "2", "--chain-strength", "inf"],
+        None,
+    ),
+    "timing-constant-beyond-float": (
+        ["bench", "--graph", "{instance}", "--timing-profile", "{doc}"],
+        '{"t_prog": 1' + "0" * 400 + ', "t_sample": 0.0004, "t_post": 0.02}',
+    ),
+    "weight-beyond-float": (
+        ["bench", "--graph", "{doc}"],
+        '{"n": 2, "edges": [[0, 1]], "weights": [1, 1' + "0" * 400 + "]}",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_4_before_any_work(
+    name, tree_instance, tmp_path, capsys, monkeypatch
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the embedder ran on malformed input")
+
+    monkeypatch.setattr(cli, "heuristic_embed", no_work)
+    args, document = MALFORMED[name]
+    empty_dir = tmp_path / "empty"
+    empty_dir.mkdir()
+    plain_file = tmp_path / "plain.txt"
+    plain_file.write_text("x\n")
+    doc = tmp_path / "doc.json"
+    if document is not None:
+        doc.write_text(document)
+    fill = {"instance": tree_instance, "dir": empty_dir, "file": plain_file, "doc": doc}
+    assert cli.main([a.format(**fill) for a in args]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: input-error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert plain_file.read_text() == "x\n"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--help"])
+    assert exc.value.code == 0
+    assert "--reembed-each" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# fuzz: malformed instance, embedding and timing-profile documents
+# ---------------------------------------------------------------------------
+
+# small values only, so that a document that parses stays a tiny instance,
+# plus integers beyond the float range
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 10)
+    | st.sampled_from([10**400, -(10**400)])
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def valid_or_junk(valid: st.SearchStrategy) -> st.SearchStrategy:
+    # an even draw: `valid | json_values` seldom picks the valid side
+    return st.booleans().flatmap(lambda ok: valid if ok else json_values)
+
+
+def documents(
+    required: dict[str, st.SearchStrategy], optional: dict[str, st.SearchStrategy]
+) -> st.SearchStrategy[str]:
+    """Raw text, any JSON value (which covers objects missing a required
+    field), or an object whose every field is valid or any JSON value."""
+    obj = st.fixed_dictionaries(
+        {k: valid_or_junk(v) for k, v in required.items()},
+        optional={k: valid_or_junk(v) for k, v in optional.items()},
+    )
+    return st.one_of(st.text(max_size=30), json_values.map(json.dumps), obj.map(json.dumps))
+
+
+# a path 0-1-2 that embeds with unit chains into chimera(1)
+PATH_INSTANCE = {"n": 3, "edges": [[0, 1], [1, 2]], "weights": [0.5, 0.25, 0.75]}
+WEIGHTS = st.lists(valid_or_junk(st.sampled_from([0.25, 0.5, 1, 2])), min_size=3, max_size=3)
+INSTANCES = documents(
+    {
+        "n": st.just(3),
+        "edges": st.just([[0, 1], [1, 2]]),
+        "weights": WEIGHTS,
+    },
+    {"weight_assignments": st.lists(WEIGHTS, max_size=3)},
+)
+EMBEDDINGS = documents(
+    {
+        "chains": st.dictionaries(
+            st.sampled_from(["0", "1", "2", "3"]),
+            st.lists(st.integers(-1, 9), max_size=3) | json_values,
+            max_size=4,
+        )
+    },
+    {},
+)
+PROFILES = documents(
+    {name: st.floats(0.0, 1.0) for name in ("t_prog", "t_sample", "t_post")},
+    {name: st.floats(0.0, 1.0) for name in ("t_conv", "t_pre", "t_extra")},
+)
+
+FUZZ_SETTINGS = settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TINY_RUN = ["--chimera-k", "1", "--samples", "1", "--sweeps", "1", "--max-tries", "2"]
+
+
+def _fuzz_main(files: dict[str, str], argv: list[str]) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in files.items():
+            (root / name).write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([a.format(root=root) for a in argv])
+    assert code in range(5)
+    if code == cli.EXIT_INPUT:
+        assert err.getvalue().startswith("error: input-error:") and err.getvalue().count("\n") == 1
+
+
+@FUZZ_SETTINGS
+@given(INSTANCES)
+def test_fuzz_instance_document(text):
+    _fuzz_main(
+        {"inst.json": text}, ["bench", "--graph", "{root}/inst.json", "--out", "{root}/o", *TINY_RUN]
+    )
+
+
+@FUZZ_SETTINGS
+@given(EMBEDDINGS)
+def test_fuzz_embedding_document(text):
+    _fuzz_main(
+        {"inst.json": json.dumps(PATH_INSTANCE), "emb.json": text},
+        ["verify", "--graph", "{root}/inst.json", "--embedding", "{root}/emb.json", "--chimera-k", "1"],
+    )
+
+
+@FUZZ_SETTINGS
+@given(PROFILES)
+def test_fuzz_timing_profile_document(text):
+    _fuzz_main(
+        {"inst.json": json.dumps(PATH_INSTANCE), "profile.json": text},
+        ["bench", "--graph", "{root}/inst.json", "--timing-profile", "{root}/profile.json",
+         "--out", "{root}/o", *TINY_RUN],
+    )

@@ -50,15 +50,6 @@ class TestQuboMatrix:
         with pytest.raises(ValueError, match="zero"):
             QuboMatrix(3, {(0, 0): 0.0})
 
-    def test_coo_roundtrip(self, worked_qubo):
-        text = worked_qubo.to_coo_text()
-        back = QuboMatrix.from_coo_text(text, n=worked_qubo.n)
-        assert back == worked_qubo
-
-    def test_coo_golden_lines(self):
-        q = QuboMatrix(3, {(0, 0): -1.5, (0, 2): 0.25})
-        assert q.to_coo_text() == "0 0 -1.5\n0 2 0.25\n"
-
 
 class TestEnergy:
     def test_worked_optimum(self, worked_qubo):
