@@ -33,7 +33,6 @@ from .bench import (
 )
 from .bip import BipSolution, ConstraintSet, build_constraints, solve_bip
 from .embedding import (
-    ChainPolicy,
     EmbedResult,
     Embedding,
     EmbeddingCheck,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -36,7 +37,6 @@ from .annealer import (
 )
 from .bip import build_constraints, solve_bip
 from .embedding import (
-    ChainPolicy,
     EmbedResult,
     Embedding,
     embed_qubo,
@@ -140,6 +140,8 @@ def gen_weights(n: int, m: int, seed: int) -> tuple[tuple[float, ...], ...]:
     """
     if m < 1:
         raise ValueError(f"need m >= 1 assignments, got {m}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
     return tuple(
         tuple(max(rng.randrange(100), 1) / 100 for _ in range(n)) for _ in range(m)
@@ -152,14 +154,15 @@ class BenchConfig:
 
     ``sample_budgets`` is the escalation ladder: stages run in order until an
     optimal sample has been seen, mirroring the run-twice-then-escalate
-    estimation protocol.
+    estimation protocol. ``chain_strength`` None derives the strength from
+    each assignment's matrix (see ``auto_chain_strength``).
     """
 
     seed: int = 0
     sample_budgets: tuple[int, ...] = (1000, 1000, 2000, 2000)
     p: float = 0.99
     sweeps: int | None = None
-    chain_policy: ChainPolicy = ChainPolicy()
+    chain_strength: float | None = None
     max_tries: int = 8
 
     def __post_init__(self) -> None:
@@ -169,6 +172,14 @@ class BenchConfig:
             raise ValueError(f"bad sample budgets {self.sample_budgets}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"confidence p must be in (0, 1), got {self.p}")
+        if self.sweeps is not None and self.sweeps < 1:
+            raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
+        # a Chimera qubit has at most 6 couplers, so its diagonal collects at
+        # most 6M plus one split weight and a chain coupler carries -2M; up to
+        # float max / 8 every physical entry stays finite
+        top = sys.float_info.max / 8
+        if self.chain_strength is not None and not 0.0 < self.chain_strength <= top:
+            raise ValueError(f"chain strength must be in (0, {top:.4g}], got {self.chain_strength}")
         if self.max_tries < 1:
             raise ValueError(f"max_tries must be >= 1, got {self.max_tries}")
 
@@ -278,7 +289,7 @@ def _solve_assignment(
 
     t2_start = time.perf_counter()
     q_logical = mwis_to_qubo(weighted, "auto")
-    q_physical = embed_qubo(q_logical, emb, gp, cfg.chain_policy)
+    q_physical = embed_qubo(q_logical, emb, gp, cfg.chain_strength)
     q_scaled, _scale = scale_to_unit(q_physical)
     t2 = time.perf_counter() - t2_start
 

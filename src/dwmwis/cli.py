@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .annealer import TIMING_PROFILES, TimingModel, timing_profile
@@ -30,7 +29,7 @@ from .bench import (
     run_hybrid,
     run_standard,
 )
-from .embedding import ChainPolicy, Embedding, heuristic_embed, verify_embedding
+from .embedding import Embedding, heuristic_embed, verify_embedding
 from .graphs import (
     FamilySpec,
     WeightedGraph,
@@ -48,39 +47,19 @@ EXIT_INPUT = 4
 
 
 class InputError(ValueError):
-    """Manifest-level validation failure (maps to exit code 4)."""
+    """Invalid input (maps to exit code 4)."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Validated invocation parameters for one subcommand."""
-
-    subcommand: str
-    instance_path: Path | None = None
-    family: FamilySpec | None = None
-    m: int = 1
-    seed: int = 0
-    samples: int = 1000
-    sweeps: int | None = None
-    chimera_k: int = 4
-    chain_strength: float | str = "auto"
-    profile: str = "dwave2x"
-    p: float = 0.99
-    out: Path | None = None
-    reembed_each: bool = False
-    max_tries: int = 8
-    embedding_path: Path | None = None
-    save_embedding: Path | None = None
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
-def _positive(kind: type, name: str, value, minimum=1):
-    try:
-        converted = kind(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{name}: expected {kind.__name__}, got {value!r}") from None
-    if converted < minimum:
-        raise InputError(f"{name}: must be >= {minimum}, got {converted}")
-    return converted
+def _chain_strength(text: str) -> float | None:
+    """None asks for the strength derived from each matrix."""
+    return None if text == "auto" else float(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,20 +81,21 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate an instance file for a named graph family")
     gen.add_argument("family", help="Cycle | Star | Complete | CompleteBipartite | Grid | Hypercube | Petersen")
     gen.add_argument("params", nargs="*", type=int, help="family parameters")
-    gen.add_argument("--m", type=int, default=100, help="number of weight assignments")
+    gen.add_argument("--m", type=_count, default=100, help="number of weight assignments")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
+    gen.set_defaults(run=cmd_gen)
 
     bench = sub.add_parser("bench", help="run the hybrid, standard and classical pipelines")
     src = bench.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", type=Path, help="instance file")
     src.add_argument("--family", nargs="+", help="family name plus parameters, e.g. Cycle 20")
-    bench.add_argument("--m", type=int, default=100, help="assignments when using --family")
+    bench.add_argument("--m", type=_count, default=100, help="assignments when using --family")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--samples", type=int, default=1000, help="base per-stage sample budget")
     bench.add_argument("--sweeps", type=int, default=None)
     bench.add_argument("--chimera-k", type=int, default=4)
-    bench.add_argument("--chain-strength", default="auto")
+    bench.add_argument("--chain-strength", type=_chain_strength, default="auto")
     bench.add_argument("--timing-profile", default="dwave2x",
                        help=f"one of {sorted(TIMING_PROFILES)} or a JSON file of constants")
     bench.add_argument("--p", type=float, default=0.99, help="target success confidence")
@@ -124,19 +104,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="measure a real embedder run per assignment for the standard total")
     bench.add_argument("--max-tries", type=int, default=8)
     bench.add_argument("--save-embedding", type=Path, default=None)
+    bench.set_defaults(run=cmd_bench)
 
     verify = sub.add_parser("verify", help="check an embedding file against an instance")
     verify.add_argument("--graph", type=Path, required=True)
     verify.add_argument("--embedding", type=Path, required=True)
     verify.add_argument("--chimera-k", type=int, default=4)
+    verify.set_defaults(run=cmd_verify)
     return parser
-
-
-def _family_spec(name: str, params: list[int]) -> FamilySpec:
-    try:
-        return FamilySpec(name, tuple(params))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
 
 
 def _read(path: Path) -> str:
@@ -145,18 +120,19 @@ def _read(path: Path) -> str:
     return path.read_text()
 
 
-def cmd_gen(manifest: RunManifest) -> int:
-    graph = generate_family(manifest.family)
-    assignments = gen_weights(graph.n, manifest.m, manifest.seed)
+def cmd_gen(args: argparse.Namespace) -> int:
+    spec = FamilySpec(args.family, tuple(args.params))
+    graph = generate_family(spec)
+    assignments = gen_weights(graph.n, args.m, args.seed)
     text = instance_to_json(WeightedGraph(graph, assignments[0]), assignments)
-    if manifest.out is None:
+    if args.out is None:
         print(text)
     else:
-        if manifest.out.is_dir():
-            raise InputError(f"--out names a directory: {manifest.out}")
-        manifest.out.parent.mkdir(parents=True, exist_ok=True)
-        manifest.out.write_text(text + "\n")
-        print(f"wrote {manifest.family.label()} instance with m={manifest.m} to {manifest.out}")
+        if args.out.is_dir():
+            raise InputError(f"--out names a directory: {args.out}")
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        args.out.write_text(text + "\n")
+        print(f"wrote {spec.label()} instance with m={args.m} to {args.out}")
     return EXIT_OK
 
 
@@ -169,45 +145,40 @@ def _timing(profile: str) -> TimingModel:
     raise InputError(f"unknown timing profile {profile!r}")
 
 
-def cmd_bench(manifest: RunManifest) -> int:
-    if manifest.instance_path is not None:
-        inst = DwmwisInstance.from_json(
-            _read(manifest.instance_path), name=manifest.instance_path.stem
-        )
-    else:
-        graph = generate_family(manifest.family)
-        inst = DwmwisInstance(
-            graph=graph,
-            assignments=gen_weights(graph.n, manifest.m, manifest.seed),
-            name=manifest.family.label(),
-        )
-    tm = _timing(manifest.profile)
-    strength = manifest.chain_strength
-    if strength != "auto":
-        strength = float(strength)
+def cmd_bench(args: argparse.Namespace) -> int:
+    # the settings are checked before the instance is built: a large --family is work too
     cfg = BenchConfig(
-        seed=manifest.seed,
-        sample_budgets=(manifest.samples, manifest.samples, 2 * manifest.samples, 2 * manifest.samples),
-        p=manifest.p,
-        sweeps=manifest.sweeps,
-        chain_policy=ChainPolicy(chain_strength=strength),
-        max_tries=manifest.max_tries,
+        seed=args.seed,
+        sample_budgets=(args.samples, args.samples, 2 * args.samples, 2 * args.samples),
+        p=args.p,
+        sweeps=args.sweeps,
+        chain_strength=args.chain_strength,
+        max_tries=args.max_tries,
     )
-    out = manifest.out
+    gp = chimera(args.chimera_k)
+    tm = _timing(args.timing_profile)
+    out = args.out
     # the reports are written after the whole run, so unusable paths are rejected now
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         raise InputError(f"--out: {existing} is a file, not a directory")
-    if manifest.save_embedding is not None and manifest.save_embedding.is_dir():
-        raise InputError(f"--save-embedding names a directory: {manifest.save_embedding}")
-    gp = chimera(manifest.chimera_k)
+    if args.save_embedding is not None and args.save_embedding.is_dir():
+        raise InputError(f"--save-embedding names a directory: {args.save_embedding}")
+    if args.graph is not None:
+        inst = DwmwisInstance.from_json(_read(args.graph), name=args.graph.stem)
+    else:
+        spec = FamilySpec(args.family[0], tuple(args.family[1:]))
+        graph = generate_family(spec)
+        inst = DwmwisInstance(
+            graph=graph, assignments=gen_weights(graph.n, args.m, args.seed), name=spec.label()
+        )
 
     # embed first: a failed embedding exits before the exponential classical pass
     embed_result = heuristic_embed(inst.graph, gp, seed=cfg.seed, max_tries=cfg.max_tries)
     try:
         baseline = run_classical(inst) if embed_result.ok else None
         record = run_hybrid(inst, gp, cfg, tm, baseline=baseline, embed_result=embed_result)
-        if manifest.reembed_each:
+        if args.reembed_each:
             record = run_standard(inst, gp, cfg, tm, paired=record)
     except EmbeddingFailed as exc:
         print(f"error: embedding-failure: {exc}", file=sys.stderr)
@@ -216,9 +187,9 @@ def cmd_bench(manifest: RunManifest) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "assignments.csv").write_text(record_csv(record))
     (out / "summary.json").write_text(record_summary(record) + "\n")
-    if manifest.save_embedding is not None:
-        manifest.save_embedding.parent.mkdir(parents=True, exist_ok=True)
-        manifest.save_embedding.write_text(embed_result.embedding.to_json() + "\n")
+    if args.save_embedding is not None:
+        args.save_embedding.parent.mkdir(parents=True, exist_ok=True)
+        args.save_embedding.write_text(embed_result.embedding.to_json() + "\n")
 
     line = (
         f"{inst.name}: {record.solved_count}/{inst.m} solved, "
@@ -233,17 +204,14 @@ def cmd_bench(manifest: RunManifest) -> int:
     return EXIT_OK if record.all_solved else EXIT_UNSOLVED
 
 
-def cmd_verify(manifest: RunManifest) -> int:
-    weighted = parse_graph(_read(manifest.instance_path))
-    gp = chimera(manifest.chimera_k)
+def cmd_verify(args: argparse.Namespace) -> int:
+    weighted = parse_graph(_read(args.graph))
+    gp = chimera(args.chimera_k)
     try:
-        emb = Embedding.from_json(_read(manifest.embedding_path), gp)
+        emb = Embedding.from_json(_read(args.embedding), gp)
     except (ValueError, KeyError) as exc:
         raise InputError(f"embedding file: {exc}") from None
-    try:
-        check = verify_embedding(weighted.graph, gp, emb)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    check = verify_embedding(weighted.graph, gp, emb)
     for condition, label in (
         (1, "chains pairwise disjoint"),
         (2, "chains connected"),
@@ -257,63 +225,10 @@ def cmd_verify(manifest: RunManifest) -> int:
     return EXIT_OK if check.ok else EXIT_INVALID
 
 
-def _manifest(args: argparse.Namespace) -> RunManifest:
-    if args.command == "gen":
-        return RunManifest(
-            subcommand="gen",
-            family=_family_spec(args.family, args.params),
-            m=_positive(int, "--m", args.m),
-            seed=_positive(int, "--seed", args.seed, minimum=0),
-            out=args.out,
-        )
-    if args.command == "bench":
-        family = None
-        if args.family is not None:
-            if not args.family:
-                raise InputError("--family needs a family name")
-            try:
-                params = [int(p) for p in args.family[1:]]
-            except ValueError:
-                raise InputError(f"--family parameters must be integers: {args.family[1:]}") from None
-            family = _family_spec(args.family[0], params)
-        if not 0.0 < args.p < 1.0:
-            raise InputError(f"--p must be in (0, 1), got {args.p}")
-        return RunManifest(
-            subcommand="bench",
-            instance_path=args.graph,
-            family=family,
-            m=_positive(int, "--m", args.m),
-            seed=_positive(int, "--seed", args.seed, minimum=0),
-            samples=_positive(int, "--samples", args.samples),
-            sweeps=None if args.sweeps is None else _positive(int, "--sweeps", args.sweeps),
-            chimera_k=_positive(int, "--chimera-k", args.chimera_k),
-            chain_strength=args.chain_strength,
-            profile=args.timing_profile,
-            p=float(args.p),
-            out=args.out,
-            reembed_each=bool(args.reembed_each),
-            max_tries=_positive(int, "--max-tries", args.max_tries),
-            save_embedding=args.save_embedding,
-        )
-    if args.command == "verify":
-        return RunManifest(
-            subcommand="verify",
-            instance_path=args.graph,
-            embedding_path=args.embedding,
-            chimera_k=_positive(int, "--chimera-k", args.chimera_k),
-        )
-    raise InputError(f"unknown command {args.command!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        manifest = _manifest(args)
-        if manifest.subcommand == "gen":
-            return cmd_gen(manifest)
-        if manifest.subcommand == "bench":
-            return cmd_bench(manifest)
-        return cmd_verify(manifest)
+        return args.run(args)
     except ValueError as exc:  # InputError and GraphFormatError included
         print(f"error: input-error: {exc}", file=sys.stderr)
         return EXIT_INPUT

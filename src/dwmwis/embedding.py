@@ -36,7 +36,6 @@ from .qubo import BitVector, QuboMatrix, repair
 
 __all__ = [
     "Embedding",
-    "ChainPolicy",
     "EmbeddingCheck",
     "EmbedResult",
     "verify_embedding",
@@ -47,20 +46,6 @@ __all__ = [
     "unembed",
     "lift_bits",
 ]
-
-
-@dataclass(frozen=True)
-class ChainPolicy:
-    """How chains are weighted. Broken chains are always resolved by majority
-    vote (exact ties to 0) followed by ``repair``."""
-
-    chain_strength: float | str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.chain_strength != "auto" and not 0.0 < float(self.chain_strength) < math.inf:
-            raise ValueError(
-                f"chain_strength must be positive and finite, got {self.chain_strength}"
-            )
 
 
 @dataclass(frozen=True)
@@ -559,14 +544,16 @@ def _auto_strength(
 
 
 def embed_qubo(
-    q: QuboMatrix, emb: Embedding, gp: Graph, policy: ChainPolicy = ChainPolicy()
+    q: QuboMatrix, emb: Embedding, gp: Graph, chain_strength: float | None = None
 ) -> QuboMatrix:
     """Spread a logical QUBO over an embedding into the hardware graph.
 
     Diagonals are split equally across their chain's qubits, couplings equally
     across every physical edge between the two chains, and each intra-chain
-    edge receives the disagreement penalty (+M, +M, -2M). With intact chains
-    the physical energy of the lifted state equals the logical energy.
+    edge receives the disagreement penalty (+M, +M, -2M). M is
+    ``chain_strength``, or ``auto_chain_strength`` when that is None. With
+    intact chains the physical energy of the lifted state equals the logical
+    energy.
     """
     if q.n != emb.logical_n:
         raise ValueError(f"QUBO dimension {q.n} != embedded logical size {emb.logical_n}")
@@ -576,10 +563,7 @@ def embed_qubo(
         raise ValueError(f"invalid embedding: {detail}")
 
     inter, intra = _chain_structure(q, emb, gp)
-    if policy.chain_strength == "auto":
-        strength = _auto_strength(q, emb, inter)
-    else:
-        strength = float(policy.chain_strength)
+    strength = _auto_strength(q, emb, inter) if chain_strength is None else chain_strength
     if not strength > 0.0:
         raise ValueError(f"chain strength must be positive, got {strength}")
 

@@ -89,13 +89,6 @@ class Graph:
             adj[v].add(u)
         return adj
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
@@ -119,8 +112,10 @@ class WeightedGraph:
                 f"expected {self.graph.n} weights, got {len(self.weights)}"
             )
         for i, w in enumerate(self.weights):
-            if not (w > 0.0) or not math.isfinite(w):
-                raise ValueError(f"weights[{i}] must be a positive finite real, got {w}")
+            # the reduction's penalty W + 1 for integer weights is exact only
+            # below 2**53; above it W + 1 == W and the penalty fails to separate
+            if not 0.0 < w < 2.0**53:
+                raise ValueError(f"weights[{i}] must be a positive real below 2**53, got {w}")
 
     @property
     def n(self) -> int:
@@ -270,8 +265,9 @@ def chimera(k: int) -> Graph:
     Side-0 qubits couple to the same unit in the vertically adjacent blocks,
     side-1 qubits to the same unit in the horizontally adjacent blocks.
     """
-    if k < 1:
-        raise ValueError(f"chimera requires k >= 1, got {k}")
+    # k = 16 is the 2048-qubit D-Wave 2000Q, the largest Chimera chip built
+    if not 1 <= k <= 16:
+        raise ValueError(f"chimera requires 1 <= k <= 16, got {k}")
     edges = []
     for row in range(k):
         for col in range(k):

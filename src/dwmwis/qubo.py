@@ -59,9 +59,6 @@ class QuboMatrix:
     def diagonal(self) -> dict[int, float]:
         return {i: v for (i, j), v in self.entries.items() if i == j}
 
-    def couplings(self) -> dict[tuple[int, int], float]:
-        return {(i, j): v for (i, j), v in self.entries.items() if i != j}
-
     def coupling_graph(self) -> Graph:
         """Graph whose edges are the nonzero off-diagonal couplings."""
         return Graph.from_edges(self.n, [(i, j) for (i, j) in self.entries if i != j])

@@ -36,7 +36,7 @@ class TestBuildConstraints:
     def test_branch_order_is_descending_degree(self, tree_graph):
         cs = build_constraints(tree_graph)
         assert cs.order[0] == 2  # the hub
-        degrees = tree_graph.degrees()
+        degrees = [len(nbrs) for nbrs in tree_graph.adjacency()]
         assert all(
             degrees[cs.order[i]] >= degrees[cs.order[i + 1]] for i in range(len(cs.order) - 1)
         )

@@ -243,6 +243,43 @@ MALFORMED = {
         ["bench", "--graph", "{doc}"],
         '{"n": 2, "edges": [[0, 1]], "weights": [1, 1' + "0" * 400 + "]}",
     ),
+    # finite weights at or above 2**53: the first overflows the classical
+    # pass's fsum, the second the chain strength's log2, and the third makes
+    # the reduction's W + 1 penalty equal W
+    "weight-sum-overflows": (
+        ["bench", "--graph", "{doc}"],
+        '{"n": 3, "edges": [[0, 1], [1, 2]], "weights": [1e308, 1e308, 1e308]}',
+    ),
+    "weight-overflows-chain-strength": (
+        ["bench", "--graph", "{doc}"],
+        '{"n": 3, "edges": [[0, 1], [1, 2]], "weights": [1e308, 1.0, 0.5]}',
+    ),
+    "weight-absorbs-penalty-offset": (
+        ["bench", "--graph", "{doc}"],
+        '{"n": 2, "edges": [[0, 1]], "weights": [1e307, 1e307]}',
+    ),
+    "chain-strength-overflows-qubit": (
+        ["bench", "--family", "Complete", "5", "--chimera-k", "2", "--chain-strength", "1e308"],
+        None,
+    ),
+    "chain-strength-not-a-number": (
+        ["bench", "--graph", "{instance}", "--chain-strength", "strong"], None
+    ),
+    "chimera-k-beyond-largest-chip": (["bench", "--graph", "{instance}", "--chimera-k", "17"], None),
+    "gen-m-0": (["gen", "Cycle", "5", "--m", "0"], None),
+    "gen-seed-negative": (["gen", "Cycle", "5", "--seed", "-1"], None),
+    "m-0-with-graph": (["bench", "--graph", "{instance}", "--m", "0"], None),
+    "seed-negative": (["bench", "--graph", "{instance}", "--seed", "-1"], None),
+    "samples-0": (["bench", "--graph", "{instance}", "--samples", "0"], None),
+    "sweeps-0": (["bench", "--graph", "{instance}", "--sweeps", "0"], None),
+    "chimera-k-0": (["bench", "--graph", "{instance}", "--chimera-k", "0"], None),
+    "verify-chimera-k-0": (
+        ["verify", "--graph", "{instance}", "--embedding", "{file}", "--chimera-k", "0"], None
+    ),
+    "max-tries-0": (["bench", "--graph", "{instance}", "--max-tries", "0"], None),
+    "p-above-1": (["bench", "--graph", "{instance}", "--p", "1.5"], None),
+    "family-parameter-not-an-integer": (["bench", "--family", "Cycle", "x"], None),
+    "family-parameter-out-of-range": (["bench", "--family", "Cycle", "2"], None),
 }
 
 

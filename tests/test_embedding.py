@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from dwmwis import (
-    ChainPolicy,
     Embedding,
     FamilySpec,
     Graph,
@@ -210,7 +209,7 @@ class TestEmbedQubo:
     def test_single_vertex_two_qubit_chain_by_hand(self, chip1):
         q = QuboMatrix(1, {(0, 0): -8.0})
         emb = Embedding(chains=((0, 4),), physical=chip1)
-        physical = embed_qubo(q, emb, chip1, ChainPolicy(chain_strength=20.0))
+        physical = embed_qubo(q, emb, chip1, chain_strength=20.0)
         assert physical.entries == {(0, 0): 16.0, (4, 4): 16.0, (0, 4): -40.0}
         grid = {(a, b): None for a in (0, 1) for b in (0, 1)}
         for a, b in grid:
@@ -243,9 +242,11 @@ class TestEmbedQubo:
         with pytest.raises(ValueError, match="invalid embedding"):
             embed_qubo(q, emb, chip1)
 
-    def test_rejects_nonpositive_strength(self):
+    def test_rejects_nonpositive_strength(self, chip1):
+        q = QuboMatrix(1, {(0, 0): -8.0})
+        emb = Embedding(chains=((0, 4),), physical=chip1)
         with pytest.raises(ValueError, match="positive"):
-            ChainPolicy(chain_strength=0.0)
+            embed_qubo(q, emb, chip1, chain_strength=0.0)
 
 
 class TestEnergyCorrespondence:
