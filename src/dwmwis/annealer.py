@@ -4,8 +4,14 @@ the calibrated wall-clock model and time-to-solution statistics.
 The sampler runs independent Metropolis single-bit-flip anneals over a
 geometric temperature schedule; all runs march through the sweep schedule in
 lock-step as vectorised numpy batches, which keeps them bit-reproducible for
-a fixed seed. Timing never comes from the sampler itself: processing time is
-modelled from configurable constants the way the hardware publishes them.
+a fixed seed. A sweep visits the qubits in ascending order, but a layer at a
+time: the qubits are layered once per call so that no coupling joins two
+qubits of a layer and every coupling runs from a lower layer to a higher one,
+and each layer is updated at once from one matrix product. That is the same
+Markov chain as updating the qubits one by one. Only the qubits the matrix
+touches are annealed and read out. Timing never comes from the sampler
+itself: processing time is modelled from configurable constants the way the
+hardware publishes them.
 """
 
 from __future__ import annotations
@@ -114,10 +120,12 @@ class SamplerConfig:
 
 @dataclass(frozen=True, eq=False)
 class Reads:
-    """Annealer output: ``samples[r]`` is the int8 bit vector of read r over
-    every physical qubit, one row per read in draw order."""
+    """Annealer output over the active qubits: ``samples[r, c]`` is the int8
+    bit of qubit ``qubits[c]`` in read r, one row per read in draw order.
+    ``qubits`` is sorted; a qubit the matrix never touches has no column."""
 
     samples: np.ndarray
+    qubits: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -170,14 +178,39 @@ def _schedule(q: QuboMatrix, active: Sequence[int], cfg: SamplerConfig) -> np.nd
     return np.geomspace(hottest, coldest, sweeps)
 
 
+def _sweep_layers(q: QuboMatrix) -> list[list[int]]:
+    """Group the qubits the matrix touches into layers, each sorted. A qubit's
+    layer is one above the highest layer among the qubits it couples to that
+    have a lower index. So no coupling joins two qubits of one layer, and
+    updating the layers in turn, each at once, is the same Metropolis sweep as
+    visiting the qubits one by one in ascending order: two qubits whose visit
+    order changes share no coupling."""
+    lower: dict[int, list[int]] = {}
+    for i, j in q.entries:
+        lower.setdefault(i, [])
+        lower.setdefault(j, [])
+        if i != j:
+            lower[j].append(i)
+    layer: dict[int, int] = {}
+    for v in sorted(lower):
+        layer[v] = 1 + max((layer[u] for u in lower[v]), default=-1)
+    layers: list[list[int]] = [[] for _ in range(max(layer.values(), default=-1) + 1)]
+    for v in sorted(layer):
+        layers[layer[v]].append(v)
+    return layers
+
+
 def sample(qp: QuboMatrix, gp: Graph, cfg: SamplerConfig) -> Reads:
     """Draw ``cfg.num_samples`` independent annealing runs of the QUBO.
 
     Each run starts from uniform random bits and performs Metropolis
-    single-bit-flip sweeps with incremental energy deltas; only couplings
-    present in the matrix (all of which must be hardware edges) enter a
-    delta. Qubits the matrix never touches keep their starting bits.
-    Deterministic for a fixed seed.
+    single-bit-flip sweeps in ascending qubit order; only couplings present in
+    the matrix (all of which must be hardware edges) enter a flip's energy
+    delta. A sweep updates the qubits a layer at a time (see
+    ``_sweep_layers``): no coupling joins two qubits of a layer, so the whole
+    layer flips at once from one matrix product, with the same outcome as
+    flipping its qubits one by one. Only the qubits the matrix touches are
+    annealed and read out. Deterministic for a fixed seed.
     """
     if qp.n != gp.n:
         raise ValueError(f"QUBO dimension {qp.n} != hardware size {gp.n}")
@@ -187,49 +220,67 @@ def sample(qp: QuboMatrix, gp: Graph, cfg: SamplerConfig) -> Reads:
 
     rng = np.random.default_rng(cfg.seed)
     reads = cfg.num_samples
-    bits = rng.integers(0, 2, size=(reads, qp.n)).astype(np.int8)
-
-    active = sorted({i for key in qp.entries for i in key})
-    if active:
-        temps = _schedule(qp, active, cfg)
-        slot = {q: a for a, q in enumerate(active)}
-        n_active = len(active)
-        linear = np.zeros(n_active)
-        nbrs: list[list[int]] = [[] for _ in range(n_active)]
-        nbr_weights: list[list[float]] = [[] for _ in range(n_active)]
+    qubits = sorted({i for key in qp.entries for i in key})
+    n_active = len(qubits)
+    bits = rng.integers(0, 2, size=(reads, n_active), dtype=np.int8)
+    if qubits:
+        temps = _schedule(qp, qubits, cfg)
+        layers = _sweep_layers(qp)
+        # State rows: the layers in turn, then a row of ones. In spins
+        # s = 2x - 1 the local field J x + h is (J/2) s + h + (row sums of
+        # J)/2; the column that meets the row of ones holds that constant, so
+        # one product gives the fields of a whole layer.
+        position = {q: a for a, q in enumerate(q for layer in layers for q in layer)}
+        field_matrix = np.zeros((n_active, n_active + 1))
         for (i, j), value in qp.entries.items():
+            a, b = position[i], position[j]
             if i == j:
-                linear[slot[i]] = value
+                field_matrix[a, n_active] += value
             else:
-                nbrs[slot[i]].append(slot[j])
-                nbr_weights[slot[i]].append(value)
-                nbrs[slot[j]].append(slot[i])
-                nbr_weights[slot[j]].append(value)
-        nbr_idx = [np.array(v, dtype=np.intp) for v in nbrs]
-        nbr_w = [np.array(v) for v in nbr_weights]
+                half = 0.5 * value
+                field_matrix[a, b] = field_matrix[b, a] = half
+                field_matrix[a, n_active] += half
+                field_matrix[b, n_active] += half
+        # A layer's fields need only the state rows its couplings touch. They
+        # are gathered, and the layer keeps just those columns of the matrix,
+        # side by side with the other layers' so that one multiply scales all
+        # of them by 1/T.
+        bounds = np.cumsum([0] + [len(layer) for layer in layers])
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        touched = [np.flatnonzero(field_matrix[lo:hi].any(axis=0)) for lo, hi in spans]
+        compact = np.zeros((n_active, max(len(columns) for columns in touched)))
+        for (lo, hi), columns in zip(spans, touched):
+            compact[lo:hi, : len(columns)] = field_matrix[lo:hi, columns]
+        scaled = np.empty_like(compact)
+        blocks = [
+            (lo, hi, columns, scaled[lo:hi, : len(columns)])
+            for (lo, hi), columns in zip(spans, touched)
+        ]
 
-        # qubit-major, as in Isakov et al. (arXiv:1401.1084): each update
-        # reads contiguous rows and rewrites its own row in place
-        state = np.ascontiguousarray(bits[:, active].T, dtype=np.float64)
-        threshold = np.empty((n_active, reads))
-        for temperature in temps:
-            rng.random(out=threshold)
-            with np.errstate(divide="ignore"):
-                np.log(threshold, out=threshold)
-            threshold *= -temperature
-            for a in range(n_active):
-                row = state[a]
-                # a BLAS product, not a running sum: with six neighbours the
-                # two round differently and the pinned sampler output moves
-                local = nbr_w[a] @ state.take(nbr_idx[a], axis=0)
-                local += linear[a]
-                # delta = (1 - 2 x_a) * local; x_a flips when delta < threshold
-                sign = row * -2.0
-                sign += 1.0
-                local *= sign
-                np.not_equal(row, local < threshold[a], out=row)
-        bits[:, active] = state.T
-    return Reads(bits)
+        rows = np.array([position[q] for q in qubits], dtype=np.intp)
+        spins = np.ones((n_active + 1, reads))
+        spins[rows] = 2.0 * bits.T - 1.0
+        widest = max(len(layer) for layer in layers)
+        log_u = np.empty((n_active, reads), dtype=np.float32)
+        field = np.empty((widest, reads))
+        flip = np.empty((widest, reads), dtype=bool)
+        # x flips when its delta (1 - 2x) * local = -s * local is below
+        # -T log(u), that is when s * local / T > log(u); a draw of 0 always
+        # flips. The temperature stays in float64, so a large coefficient
+        # scale cannot overflow the float32 draws.
+        with np.errstate(divide="ignore"):
+            for temperature in temps:
+                np.multiply(compact, 1.0 / temperature, out=scaled)
+                rng.random(dtype=np.float32, out=log_u)
+                np.log(log_u, out=log_u)
+                for lo, hi, columns, matrix in blocks:
+                    f, fl, s = field[: hi - lo], flip[: hi - lo], spins[lo:hi]
+                    np.matmul(matrix, spins[columns], out=f)
+                    f *= s
+                    np.greater(f, log_u[lo:hi], out=fl)
+                    np.negative(s, out=s, where=fl)
+        bits[:] = (spins[rows] > 0.0).T
+    return Reads(bits, np.array(qubits, dtype=np.intp))
 
 
 def success_probability(ss: SampleSet, optimal_energy: float, tol: float = 1e-6) -> float:

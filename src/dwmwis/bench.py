@@ -262,11 +262,23 @@ def logical_sampleset(
     reads that vote alike share one repair and one energy evaluation, and
     their multiplicities add up."""
     lengths = np.array([len(chain) for chain in emb.chains])
-    chain_bits = reads.samples[:, [q for chain in emb.chains for q in chain]]
+    chain_qubits = np.array([q for chain in emb.chains for q in chain], dtype=np.intp)
+    if not np.isin(chain_qubits, reads.qubits).all():
+        raise ValueError("a chain qubit has no column in the reads")
+    chain_bits = reads.samples[:, np.searchsorted(reads.qubits, chain_qubits)]
     ones = np.add.reduceat(chain_bits, np.cumsum(lengths) - lengths, axis=1, dtype=np.int32)
-    # majority vote per chain; exact ties fall to 0, as in unembed
-    votes = (2 * ones > lengths).astype(np.int8)
-    rows, counts = np.unique(votes, axis=0, return_counts=True)
+    # majority vote per chain, exact ties falling to 0 as in unembed, packed
+    # into whole uint64 words: one key per read when n <= 64
+    n, words = len(lengths), -(-len(lengths) // 64)
+    votes = np.zeros((len(ones), 64 * words), dtype=np.uint8)
+    votes[:, :n] = 2 * ones > lengths
+    keys = np.packbits(votes, axis=1, bitorder="little").view(np.uint64)
+    if words == 1:
+        distinct, counts = np.unique(keys[:, 0], return_counts=True)
+    else:
+        distinct, counts = np.unique(keys, axis=0, return_counts=True)
+    packed = np.ascontiguousarray(distinct).view(np.uint8).reshape(len(counts), -1)
+    rows = np.unpackbits(packed, axis=1, count=n, bitorder="little")
     fix = repairer(weighted)
     entries = []
     for row, count in zip(rows.tolist(), counts.tolist()):

@@ -45,6 +45,14 @@ def exhaustive_qubo_minimum(q: QuboMatrix) -> tuple[float, list[tuple[int, ...]]
     return best, minimizers
 
 
+def physical_rows(reads, n: int) -> np.ndarray:
+    """The sampler's reads as full rows over all n physical qubits; qubits
+    that were not read out hold 0."""
+    rows = np.zeros((len(reads.samples), n), dtype=np.int8)
+    rows[:, reads.qubits] = reads.samples
+    return rows
+
+
 def reference_mwis(weighted: WeightedGraph) -> tuple[frozenset[int], float]:
     """Recursive include/exclude search, independent of the library oracle."""
     g = weighted.graph

@@ -256,7 +256,10 @@ def test_criterion_9_report_determinism(tmp_path, tree_weighted):
 
 def test_sampler_stream_pinned(tmp_path, tree_weighted):
     # the criterion-9 run with its sampler output pinned: any change to the
-    # sampler's random draws or update order moves these columns
+    # sampler's random draws or update order moves these columns. Re-pinned
+    # once for the layered sweep, which draws float32 thresholds and start
+    # bits for the active qubits only; tests/test_sampler_quality.py holds
+    # the new stream to the old sampler's pooled success rates.
     from dwmwis import instance_to_json
 
     instance = tmp_path / "tree.json"
@@ -273,7 +276,7 @@ def test_sampler_stream_pinned(tmp_path, tree_weighted):
     assert [[row[c] for c in columns] for row in rows] == [
         ["0.955", "1.485015283002401", "200", "191"],
         ["1.0", "1.0", "200", "200"],
-        ["0.845", "2.4701473374718392", "200", "169"],
-        ["0.695", "3.8782225653501645", "200", "139"],
+        ["0.835", "2.555858100561088", "200", "167"],
+        ["0.68", "4.041628599327294", "200", "136"],
         ["1.0", "1.0", "200", "200"],
     ]

@@ -23,12 +23,13 @@ from dwmwis import (
     success_probability,
     timing_profile,
 )
-from oracles import exhaustive_qubo_minimum, grid_weights, random_graph
+from dwmwis.annealer import _sweep_layers
+from oracles import exhaustive_qubo_minimum, grid_weights, physical_rows, random_graph
 
 
 def read_energies(q: QuboMatrix, reads) -> list[float]:
     """Energy of every read, recomputed from its bits."""
-    return [energy(q, row) for row in reads.samples]
+    return [energy(q, row) for row in physical_rows(reads, q.n)]
 
 
 def synthetic_sampleset(n_opt: int, n_total: int) -> SampleSet:
@@ -44,8 +45,8 @@ class TestSampler:
     def test_separable_problem_hits_all_ones(self, chip1):
         q = QuboMatrix(chip1.n, {(i, i): -1.0 for i in range(6)})
         reads = sample(q, chip1, SamplerConfig(num_samples=50, seed=3))
-        assert reads.samples.shape == (50, chip1.n)
-        assert (reads.samples[:, :6] == 1).all()
+        assert reads.samples.shape == (50, 6) and reads.qubits.tolist() == list(range(6))
+        assert (reads.samples == 1).all()
         assert read_energies(q, reads) == [-6.0] * 50
 
     def test_worked_instance_reaches_optimum(self, tree_weighted, chip1, tree_embedding):
@@ -62,7 +63,7 @@ class TestSampler:
         q = QuboMatrix(chip1.n, {(0, 0): -1.0, (4, 4): -0.5, (0, 4): 2.0})
         cfg = SamplerConfig(num_samples=100, seed=12)
         first, second = sample(q, chip1, cfg).samples, sample(q, chip1, cfg).samples
-        assert first.dtype == np.int8 and first.shape == (100, chip1.n)
+        assert first.dtype == np.int8 and first.shape == (100, 2)
         assert np.array_equal(first, second)
 
     def test_dimension_mismatch_rejected(self, chip1):
@@ -83,7 +84,9 @@ class TestSampler:
         physical = embed_qubo(q, emb, chip2)
         scaled, _ = scale_to_unit(physical)
         reads = sample(scaled, chip2, SamplerConfig(num_samples=64, seed=21))
-        assert reads.samples.dtype == np.int8 and reads.samples.shape == (64, chip2.n)
+        active = sorted({i for key in scaled.entries for i in key})
+        assert reads.qubits.tolist() == active
+        assert reads.samples.dtype == np.int8 and reads.samples.shape == (64, len(active))
         assert set(np.unique(reads.samples)) <= {0, 1}
         # energies live in the logical set, one per distinct logical bit vector
         logical = logical_sampleset(reads, emb, weighted, q)
@@ -121,6 +124,126 @@ class TestSampler:
         reads = sample(q, gp, SamplerConfig(num_samples=300, seed=trial))
         minimum, _ = exhaustive_qubo_minimum(q)
         assert min(read_energies(q, reads)) == pytest.approx(minimum, abs=1e-9)
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_exact_on_non_bipartite_hardware(self, trial):
+        # the Petersen graph has odd cycles, so a sweep has three or more
+        # layers
+        from dwmwis import FamilySpec, generate_family
+
+        rng = np.random.default_rng(6700 + trial)
+        gp = generate_family(FamilySpec("Petersen", ()))
+        entries = {(i, i): float(rng.uniform(-2.0, 0.5)) or -0.1 for i in range(gp.n)}
+        for u, v in gp.sorted_edges():
+            entries[(u, v)] = float(rng.uniform(-1.5, 2.5)) or 0.3
+        q = QuboMatrix(gp.n, entries)
+        assert len(_sweep_layers(q)) >= 3
+        reads = sample(q, gp, SamplerConfig(num_samples=300, seed=trial))
+        minimum, _ = exhaustive_qubo_minimum(q)
+        assert min(read_energies(q, reads)) == pytest.approx(minimum, abs=1e-9)
+
+    def test_huge_coefficients_do_not_overflow(self):
+        # the hottest temperature is about 2**125 here, so a threshold
+        # T * -log(u) formed in float32 overflows
+        rng = np.random.default_rng(610)
+        gp = chimera(1)
+        entries = {(i, i): float(rng.uniform(-2, 0.5)) or -0.1 for i in range(gp.n)}
+        for u, v in gp.sorted_edges():
+            entries[(u, v)] = float(rng.uniform(-1.5, 1.5)) or 0.3
+        q = QuboMatrix(gp.n, {key: value * 2.0**125 for key, value in entries.items()})
+        with np.errstate(all="raise"):
+            reads = sample(q, gp, SamplerConfig(num_samples=200, seed=1))
+        minimum, _ = exhaustive_qubo_minimum(q)
+        assert min(read_energies(q, reads)) == pytest.approx(minimum, rel=1e-12)
+
+
+def assert_sweep_layers(q: QuboMatrix, layers: list[list[int]]) -> None:
+    """Layers partition the active qubits, each sorted, and every coupling runs
+    from a lower layer to a higher one in ascending qubit order."""
+    active = sorted({i for key in q.entries for i in key})
+    assert sorted(v for layer in layers for v in layer) == active
+    assert all(layer == sorted(layer) for layer in layers)
+    level = {v: k for k, layer in enumerate(layers) for v in layer}
+    for i, j in q.entries:
+        assert i == j or level[i] < level[j], f"coupling ({i},{j}) on layers {level[i]}, {level[j]}"
+
+
+def one_by_one(q: QuboMatrix, cfg: SamplerConfig) -> np.ndarray:
+    """The sampler's Markov chain as the plain loop: every sweep visits the
+    qubits one at a time in ascending order and flips x when its delta
+    (1 - 2x) * local is below -T log(u). It consumes the random stream as
+    ``sample`` does, one float32 draw per qubit and read per sweep, with the
+    qubits' draws in layer order."""
+    rng = np.random.default_rng(cfg.seed)
+    qubits = sorted({i for key in q.entries for i in key})
+    x = rng.integers(0, 2, size=(cfg.num_samples, len(qubits)), dtype=np.int8).astype(float)
+    column = {v: c for c, v in enumerate(qubits)}
+    draw = {v: r for r, v in enumerate(v for layer in _sweep_layers(q) for v in layer)}
+    linear = {v: 0.0 for v in qubits}
+    neighbours: dict[int, list[tuple[int, float]]] = {v: [] for v in qubits}
+    for (i, j), value in q.entries.items():
+        if i == j:
+            linear[i] = value
+        else:
+            neighbours[i].append((j, value))
+            neighbours[j].append((i, value))
+    magnitudes = [abs(v) for v in q.entries.values()]
+    for temperature in np.geomspace(max(magnitudes), 1e-2 * min(magnitudes), cfg.sweeps):
+        with np.errstate(divide="ignore"):
+            log_u = np.log(rng.random((len(qubits), cfg.num_samples), dtype=np.float32))
+        for v in qubits:
+            local = linear[v] + sum(w * x[:, column[u]] for u, w in neighbours[v])
+            delta = (1.0 - 2.0 * x[:, column[v]]) * local
+            flip = -delta / temperature > log_u[draw[v]]
+            x[flip, column[v]] = 1.0 - x[flip, column[v]]
+    return x.astype(np.int8)
+
+
+def random_hardware_qubo(gp, rng) -> QuboMatrix:
+    entries = {
+        (i, i): float(rng.uniform(-1.0, 0.5)) or -0.1 for i in range(gp.n) if rng.random() < 0.7
+    }
+    for u, v in gp.sorted_edges():
+        if rng.random() < 0.6:
+            entries[(u, v)] = float(rng.uniform(-1.0, 1.0)) or 0.5
+    return QuboMatrix(gp.n, entries)
+
+
+class TestSweepLayers:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("trial", range(4))
+    def test_chimera_qubo_layers_keep_ascending_order(self, k, trial):
+        q = random_hardware_qubo(chimera(k), np.random.default_rng(620 + 10 * k + trial))
+        assert_sweep_layers(q, _sweep_layers(q))
+
+    def test_embedded_problem_layers_keep_ascending_order(self, chip2):
+        rng = np.random.default_rng(8)
+        g = random_graph(7, 0.5, rng)
+        q = mwis_to_qubo(WeightedGraph(g, grid_weights(7, rng)), "auto")
+        emb = heuristic_embed(g, chip2, seed=2, max_tries=4).embedding
+        physical = embed_qubo(q, emb, chip2)
+        assert_sweep_layers(physical, _sweep_layers(physical))
+
+    @pytest.mark.parametrize("family, params", [("Petersen", ()), ("Complete", (5,))])
+    def test_non_bipartite_hardware_gets_three_or_more_layers(self, family, params):
+        from dwmwis import FamilySpec, generate_family
+
+        gp = generate_family(FamilySpec(family, params))
+        q = QuboMatrix(gp.n, {edge: 1.0 for edge in gp.sorted_edges()})
+        layers = _sweep_layers(q)
+        assert len(layers) >= 3
+        assert_sweep_layers(q, layers)
+
+    @pytest.mark.parametrize("hardware", ["chimera2", "Petersen"])
+    @pytest.mark.parametrize("trial", range(3))
+    def test_layered_sweep_equals_one_by_one_sweep(self, hardware, trial):
+        from dwmwis import FamilySpec, generate_family
+
+        gp = chimera(2) if hardware == "chimera2" else generate_family(FamilySpec("Petersen", ()))
+        q = random_hardware_qubo(gp, np.random.default_rng(630 + trial))
+        cfg = SamplerConfig(num_samples=40, sweeps=25, seed=trial)
+        reads = sample(q, gp, cfg)
+        assert np.array_equal(reads.samples, one_by_one(q, cfg))
 
 
 class TestSuccessProbability:

@@ -39,7 +39,7 @@ from dwmwis import (
     unembed,
 )
 from dwmwis.bench import SOLVED, UNSOLVED
-from oracles import grid_weights, random_graph
+from oracles import grid_weights, physical_rows, random_graph
 
 
 def outcome(index, status=SOLVED, s=0.5, k99=6.0, t_proc=0.03):
@@ -249,7 +249,8 @@ class TestLogicalSampleset:
             q_scaled, _ = scale_to_unit(embed_qubo(q, emb, chip2))
             annealed = sample(q_scaled, chip2, SamplerConfig(num_samples=100, sweeps=3, seed=seed))
             uniform = rng.integers(0, 2, size=(200, chip2.n)).astype(np.int8)
-            reads = Reads(np.concatenate([annealed.samples, uniform]))
+            physical = np.concatenate([physical_rows(annealed, chip2.n), uniform])
+            reads = Reads(physical, np.arange(chip2.n))
 
             got = logical_sampleset(reads, emb, weighted, q)
             rows = [tuple(row) for row in reads.samples.tolist()]
@@ -263,6 +264,13 @@ class TestLogicalSampleset:
                     broken += 0 < ones < len(chain)
                     ties += 2 * ones == len(chain)
         assert broken > 0 and ties > 0
+
+    def test_chain_qubit_without_column_rejected(self, tree_weighted, tree_embedding, chip1):
+        q = mwis_to_qubo(tree_weighted, 12.0)
+        reads = sample(embed_qubo(q, tree_embedding, chip1), chip1, SamplerConfig(num_samples=4))
+        dropped = Reads(reads.samples[:, 1:], reads.qubits[1:])
+        with pytest.raises(ValueError, match="no column"):
+            logical_sampleset(dropped, tree_embedding, tree_weighted, q)
 
 
 class TestReports:
