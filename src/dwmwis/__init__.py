@@ -4,7 +4,6 @@ maximum-weight independent set problems on Chimera hardware graphs."""
 from .annealer import (
     TIMING_PROFILES,
     Reads,
-    Sample,
     SamplerConfig,
     SampleSet,
     TimingModel,
@@ -12,7 +11,6 @@ from .annealer import (
     k_p,
     proc_time,
     sample,
-    success_probability,
     timing_profile,
 )
 from .bench import (
@@ -36,7 +34,6 @@ from .embedding import (
     EmbedResult,
     Embedding,
     EmbeddingCheck,
-    auto_chain_strength,
     clique_embedding,
     embed_qubo,
     heuristic_embed,

@@ -19,27 +19,28 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .graphs import Graph
-from .qubo import BitVector, QuboMatrix
+from .qubo import QuboMatrix
 
 __all__ = [
     "SamplerConfig",
     "Reads",
-    "Sample",
     "SampleSet",
     "TimingModel",
     "TIMING_PROFILES",
     "timing_profile",
     "Unsolved",
     "sample",
-    "success_probability",
     "k_p",
     "proc_time",
 ]
+
+
+_MAX_CONSTANT = 86400.0
 
 
 class Unsolved(RuntimeError):
@@ -52,7 +53,8 @@ class TimingModel:
 
     ``t_sample`` is one full anneal-readout-delay cycle. ``t_conv`` and
     ``t_pre`` exist for completeness and default to zero; the benchmark adds
-    them per assignment.
+    them per assignment. Each constant is at most a day, which keeps every
+    modeled total finite.
     """
 
     t_prog: float
@@ -63,8 +65,9 @@ class TimingModel:
 
     def __post_init__(self) -> None:
         for name in ("t_prog", "t_sample", "t_post", "t_conv", "t_pre"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+            value = getattr(self, name)
+            if not 0.0 <= value <= _MAX_CONSTANT:
+                raise ValueError(f"{name} must be in [0, {_MAX_CONSTANT:g}] s, got {value}")
 
     def is_zero(self) -> bool:
         return self.t_prog == self.t_sample == self.t_post == self.t_conv == self.t_pre == 0.0
@@ -75,9 +78,12 @@ class TimingModel:
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("timing profile must be a JSON object of constants")
+        for key, value in obj.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"timing profile: {key!r} must be a number, got {value!r}")
         try:
             return cls(**{k: float(v) for k, v in obj.items()})
-        except (TypeError, OverflowError) as exc:  # bad or missing key, non-number, huge int
+        except (TypeError, OverflowError) as exc:  # bad or missing key, huge int
             raise ValueError(f"timing profile: {exc}") from None
 
 
@@ -129,43 +135,20 @@ class Reads:
 
 
 @dataclass(frozen=True)
-class Sample:
-    bits: BitVector
-    energy: float
-    count: int
-
-
-@dataclass(frozen=True)
 class SampleSet:
-    """Aggregated logical samples in canonical (energy, bits) order."""
+    """Logical reads tallied against the optimum: ``hits`` of ``total`` reads
+    reached it."""
 
-    samples: tuple[Sample, ...]
+    hits: int
     total: int
 
     def __post_init__(self) -> None:
-        if sum(s.count for s in self.samples) != self.total:
-            raise ValueError("sample multiplicities do not add up to the total")
-
-    def best_energy(self) -> float:
-        return min(s.energy for s in self.samples)
-
-    @classmethod
-    def from_samples(cls, entries: Iterable[tuple[BitVector, float, int]]) -> "SampleSet":
-        merged: dict[BitVector, tuple[float, int]] = {}
-        for bits, energy, count in entries:
-            if bits in merged:
-                merged[bits] = (merged[bits][0], merged[bits][1] + count)
-            else:
-                merged[bits] = (energy, count)
-        samples = tuple(
-            Sample(bits, energy, count)
-            for bits, (energy, count) in sorted(merged.items(), key=lambda kv: (kv[1][0], kv[0]))
-        )
-        return cls(samples=samples, total=sum(s.count for s in samples))
+        if not 0 <= self.hits <= self.total:
+            raise ValueError(f"hits must be in [0, total], got {self.hits} of {self.total}")
 
     @classmethod
     def merge(cls, parts: Sequence["SampleSet"]) -> "SampleSet":
-        return cls.from_samples((s.bits, s.energy, s.count) for p in parts for s in p.samples)
+        return cls(sum(p.hits for p in parts), sum(p.total for p in parts))
 
 
 def _schedule(q: QuboMatrix, active: Sequence[int], cfg: SamplerConfig) -> np.ndarray:
@@ -281,14 +264,6 @@ def sample(qp: QuboMatrix, gp: Graph, cfg: SamplerConfig) -> Reads:
                     np.negative(s, out=s, where=fl)
         bits[:] = (spins[rows] > 0.0).T
     return Reads(bits, np.array(qubits, dtype=np.intp))
-
-
-def success_probability(ss: SampleSet, optimal_energy: float, tol: float = 1e-6) -> float:
-    """Fraction of samples whose energy reaches the optimum within tolerance."""
-    if ss.total < 1:
-        raise ValueError("sample set is empty")
-    hits = sum(s.count for s in ss.samples if s.energy <= optimal_energy + tol)
-    return hits / ss.total
 
 
 def k_p(s: float, p: float = 0.99) -> float:

@@ -14,6 +14,9 @@ hybrid run so that T_std - T_H == (m - 1) * t_embed holds exactly.
 
 from __future__ import annotations
 
+import csv
+import io
+import itertools
 import json
 import math
 import random
@@ -33,7 +36,6 @@ from .annealer import (
     k_p,
     proc_time,
     sample,
-    success_probability,
 )
 from .bip import build_constraints, solve_bip
 from .embedding import (
@@ -44,7 +46,7 @@ from .embedding import (
     unembed,  # the per-read form of logical_sampleset; perfbench's tracer counts its calls here
 )
 from .graphs import Graph, WeightedGraph, instance_to_json, parse_instance
-from .qubo import QuboMatrix, energy, mwis_to_qubo, repairer, scale_to_unit
+from .qubo import mwis_to_qubo, repairer, scale_to_unit
 
 __all__ = [
     "DwmwisInstance",
@@ -155,7 +157,7 @@ class BenchConfig:
     ``sample_budgets`` is the escalation ladder: stages run in order until an
     optimal sample has been seen, mirroring the run-twice-then-escalate
     estimation protocol. ``chain_strength`` None derives the strength from
-    each assignment's matrix (see ``auto_chain_strength``).
+    each assignment's matrix (see ``embed_qubo``).
     """
 
     seed: int = 0
@@ -194,7 +196,6 @@ class AssignmentOutcome:
     k99: float | None
     t_proc: float
     optimal_value: float
-    best_energy: float
     n_samples: int
     n_opt: int
     t2_seconds: float
@@ -255,12 +256,12 @@ def logical_sampleset(
     reads: Reads,
     emb: Embedding,
     weighted: WeightedGraph,
-    q_logical: QuboMatrix,
+    optimal_value: float,
 ) -> SampleSet:
-    """Map the annealer's reads to logical space: majority vote, repair, then
-    logical energies. Per read this is ``unembed`` followed by ``energy``;
-    reads that vote alike share one repair and one energy evaluation, and
-    their multiplicities add up."""
+    """Count the annealer's reads that reach the optimum in logical space.
+    Per read this is ``unembed`` (majority vote, then repair), and the read
+    hits when the weight of its repaired selection is ``optimal_value`` up to
+    rounding. Reads that vote alike share one repair."""
     lengths = np.array([len(chain) for chain in emb.chains])
     chain_qubits = np.array([q for chain in emb.chains for q in chain], dtype=np.intp)
     if not np.isin(chain_qubits, reads.qubits).all():
@@ -280,11 +281,18 @@ def logical_sampleset(
     packed = np.ascontiguousarray(distinct).view(np.uint8).reshape(len(counts), -1)
     rows = np.unpackbits(packed, axis=1, count=n, bitorder="little")
     fix = repairer(weighted)
-    entries = []
-    for row, count in zip(rows.tolist(), counts.tolist()):
-        x = fix(row)
-        entries.append((x, energy(q_logical, x), count))
-    return SampleSet.from_samples(entries)
+    # two selections of the same exact weight differ by at most the rounding
+    # of their n weights plus that of each sum; a tolerance in ulps of the
+    # optimum scales with the weights, where an absolute one would count every
+    # read as a hit once the optimum falls below it
+    threshold = optimal_value - (n + 1) * math.ulp(optimal_value)
+    # fsum rounds the exact sum once, in any order: this is selection_weight
+    hits = sum(
+        count
+        for row, count in zip(rows.tolist(), counts.tolist())
+        if math.fsum(itertools.compress(weighted.weights, fix(row))) >= threshold
+    )
+    return SampleSet(hits, len(ones))
 
 
 def _solve_assignment(
@@ -297,7 +305,6 @@ def _solve_assignment(
     optimal_value: float,
 ) -> AssignmentOutcome:
     weighted = inst.weighted(index)
-    optimal_energy = -optimal_value
 
     t2_start = time.perf_counter()
     q_logical = mwis_to_qubo(weighted, "auto")
@@ -306,22 +313,19 @@ def _solve_assignment(
     t2 = time.perf_counter() - t2_start
 
     stages: list[SampleSet] = []
-    n_total = 0
     for stage, budget in enumerate(cfg.sample_budgets):
         sampler_cfg = SamplerConfig(
             num_samples=budget, sweeps=cfg.sweeps, seed=(cfg.seed, 1000 + index, stage)
         )
         reads = sample(q_scaled, gp, sampler_cfg)
-        stages.append(logical_sampleset(reads, emb, weighted, q_logical))
-        n_total += budget
+        stages.append(logical_sampleset(reads, emb, weighted, optimal_value))
         merged = SampleSet.merge(stages)
-        s = success_probability(merged, optimal_energy)
-        if s > 0.0:
+        if merged.hits:
             break
 
-    # s is the hit count over n_total, so rounding recovers the count exactly
-    n_opt = round(s * n_total)
-    if s > 0.0:
+    n_opt, n_total = merged.hits, merged.total
+    s = n_opt / n_total
+    if n_opt:
         k99 = k_p(s, cfg.p)
         status = SOLVED
         t_proc = proc_time(k99, tm)
@@ -338,7 +342,6 @@ def _solve_assignment(
         k99=k99,
         t_proc=t_proc,
         optimal_value=optimal_value,
-        best_energy=merged.best_energy(),
         n_samples=n_total,
         n_opt=n_opt,
         t2_seconds=t2,
@@ -452,34 +455,22 @@ def ratios(record: BenchmarkRecord) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
 def record_csv(record: BenchmarkRecord) -> str:
-    """One row per assignment. Only t2_wall_seconds is nondeterministic."""
-    lines = [
-        "instance,assignment,status,s,k99,t_proc_seconds,n_samples,n_opt,"
-        "optimal_value,t2_wall_seconds"
-    ]
+    """One row per assignment. Only t2_wall_seconds is nondeterministic. A
+    name with a comma, such as ``Grid(5,5)``, is quoted; an unknown k99 is
+    an empty field."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ["instance", "assignment", "status", "s", "k99", "t_proc_seconds", "n_samples", "n_opt",
+         "optimal_value", "t2_wall_seconds"]
+    )
     for o in record.outcomes:
-        lines.append(
-            ",".join(
-                [
-                    record.instance,
-                    str(o.index),
-                    o.status,
-                    repr(o.s),
-                    _fmt(o.k99),
-                    repr(o.t_proc),
-                    str(o.n_samples),
-                    str(o.n_opt),
-                    repr(o.optimal_value),
-                    repr(o.t2_seconds),
-                ]
-            )
+        writer.writerow(
+            [record.instance, o.index, o.status, o.s, o.k99, o.t_proc, o.n_samples, o.n_opt,
+             o.optimal_value, o.t2_seconds]
         )
-    return "\n".join(lines) + "\n"
+    return out.getvalue()
 
 
 def record_summary(record: BenchmarkRecord) -> str:

@@ -42,7 +42,6 @@ __all__ = [
     "heuristic_embed",
     "clique_embedding",
     "embed_qubo",
-    "auto_chain_strength",
     "unembed",
     "lift_bits",
 ]
@@ -511,22 +510,17 @@ def _chain_structure(
     return inter, intra
 
 
-def auto_chain_strength(q: QuboMatrix, emb: Embedding, gp: Graph) -> float:
+def _auto_strength(
+    q: QuboMatrix,
+    emb: Embedding,
+    inter: dict[tuple[int, int], list[tuple[int, int]]],
+) -> float:
     """Chain strength that provably dominates any single chain qubit's load.
 
     Twice the worst per-qubit sum of absolute split weights plus the largest
     logical coefficient magnitude, rounded up to a power of two so penalty
     bookkeeping stays exact.
     """
-    inter, _ = _chain_structure(q, emb, gp)
-    return _auto_strength(q, emb, inter)
-
-
-def _auto_strength(
-    q: QuboMatrix,
-    emb: Embedding,
-    inter: dict[tuple[int, int], list[tuple[int, int]]],
-) -> float:
     load: dict[int, float] = {qb: 0.0 for chain in emb.chains for qb in chain}
     diag = q.diagonal()
     for v, chain in enumerate(emb.chains):
@@ -551,9 +545,9 @@ def embed_qubo(
     Diagonals are split equally across their chain's qubits, couplings equally
     across every physical edge between the two chains, and each intra-chain
     edge receives the disagreement penalty (+M, +M, -2M). M is
-    ``chain_strength``, or ``auto_chain_strength`` when that is None. With
-    intact chains the physical energy of the lifted state equals the logical
-    energy.
+    ``chain_strength``, or when that is None the one ``_auto_strength``
+    derives from the matrix. With intact chains the physical energy of the
+    lifted state equals the logical energy.
     """
     if q.n != emb.logical_n:
         raise ValueError(f"QUBO dimension {q.n} != embedded logical size {emb.logical_n}")

@@ -94,10 +94,6 @@ class Graph:
             u, v = v, u
         return (u, v) in self.edges
 
-    def is_independent(self, vertices: Iterable[int]) -> bool:
-        chosen = set(vertices)
-        return not any(u in chosen and v in chosen for u, v in self.edges)
-
 
 @dataclass(frozen=True)
 class WeightedGraph:

@@ -5,6 +5,7 @@ import pytest
 
 from dwmwis import (
     QuboMatrix,
+    Reads,
     SamplerConfig,
     SampleSet,
     TimingModel,
@@ -20,8 +21,8 @@ from dwmwis import (
     proc_time,
     sample,
     scale_to_unit,
-    success_probability,
     timing_profile,
+    unembed,
 )
 from dwmwis.annealer import _sweep_layers
 from oracles import exhaustive_qubo_minimum, grid_weights, physical_rows, random_graph
@@ -32,13 +33,13 @@ def read_energies(q: QuboMatrix, reads) -> list[float]:
     return [energy(q, row) for row in physical_rows(reads, q.n)]
 
 
-def synthetic_sampleset(n_opt: int, n_total: int) -> SampleSet:
-    entries = []
-    if n_opt:
-        entries.append(((1, 0), -9.0, n_opt))
-    if n_total - n_opt:
-        entries.append(((0, 0), 0.0, n_total - n_opt))
-    return SampleSet.from_samples(entries)
+def tree_reads(n_opt: int, n_total: int) -> Reads:
+    """Reads of the worked tree on its chip1 placement: n_opt reads of the
+    optimum {2, 4} (qubits 4 and 7), the rest all zero, which repairs to
+    {0, 1, 4} at weight 6."""
+    samples = np.zeros((n_total, 5), dtype=np.int8)
+    samples[:n_opt, 3:] = 1
+    return Reads(samples, np.array([0, 1, 2, 4, 7]))
 
 
 class TestSampler:
@@ -54,10 +55,8 @@ class TestSampler:
         physical = embed_qubo(q, tree_embedding, chip1)
         scaled, _ = scale_to_unit(physical)
         ss = sample(scaled, chip1, SamplerConfig(num_samples=200, seed=9))
-        logical = logical_sampleset(ss, tree_embedding, tree_weighted, q)
-        s = success_probability(logical, -9.0)
-        assert s > 0.0
-        assert logical.best_energy() == -9.0
+        logical = logical_sampleset(ss, tree_embedding, tree_weighted, 9.0)
+        assert logical.hits > 0 and logical.total == 200
 
     def test_fixed_seed_reproduces_sampleset(self, chip1):
         q = QuboMatrix(chip1.n, {(0, 0): -1.0, (4, 4): -0.5, (0, 4): 2.0})
@@ -88,11 +87,14 @@ class TestSampler:
         assert reads.qubits.tolist() == active
         assert reads.samples.dtype == np.int8 and reads.samples.shape == (64, len(active))
         assert set(np.unique(reads.samples)) <= {0, 1}
-        # energies live in the logical set, one per distinct logical bit vector
-        logical = logical_sampleset(reads, emb, weighted, q)
-        for smp in logical.samples:
-            assert smp.energy == energy(q, smp.bits)
-        assert sum(s.count for s in logical.samples) == logical.total == 64
+        # a read hits when the QUBO energy of its unembedded vector, recomputed
+        # from the bits, reaches the exhaustive minimum
+        minimum, _ = exhaustive_qubo_minimum(q)
+        hits = sum(
+            energy(q, unembed(row, emb, weighted)) <= minimum + 1e-6
+            for row in physical_rows(reads, chip2.n).tolist()
+        )
+        assert logical_sampleset(reads, emb, weighted, -minimum) == SampleSet(hits, 64)
 
     @pytest.mark.parametrize("trial", range(5))
     def test_best_sample_matches_exhaustive_minimum(self, trial):
@@ -247,14 +249,17 @@ class TestSweepLayers:
 
 
 class TestSuccessProbability:
-    def test_simple_ratio(self):
-        assert success_probability(synthetic_sampleset(650, 1000), -9.0) == 0.65
+    def test_simple_ratio(self, tree_embedding, tree_weighted):
+        tally = logical_sampleset(tree_reads(650, 1000), tree_embedding, tree_weighted, 9.0)
+        assert tally == SampleSet(650, 1000)
 
-    def test_zero_hits(self):
-        assert success_probability(synthetic_sampleset(0, 100), -9.0) == 0.0
+    def test_zero_hits(self, tree_embedding, tree_weighted):
+        tally = logical_sampleset(tree_reads(0, 100), tree_embedding, tree_weighted, 9.0)
+        assert tally == SampleSet(0, 100)
 
-    def test_all_hits(self):
-        assert success_probability(synthetic_sampleset(100, 100), -9.0) == 1.0
+    def test_all_hits(self, tree_embedding, tree_weighted):
+        tally = logical_sampleset(tree_reads(100, 100), tree_embedding, tree_weighted, 9.0)
+        assert tally == SampleSet(100, 100)
 
 
 class TestRepetitionEstimate:
@@ -325,16 +330,11 @@ class TestTimingModel:
 
 
 class TestSampleSet:
-    def test_merge_and_canonical_order(self):
-        a = SampleSet.from_samples([((1, 1), -2.0, 3), ((0, 0), 0.0, 7)])
-        b = SampleSet.from_samples([((1, 1), -2.0, 5)])
-        merged = SampleSet.merge([a, b])
-        assert merged.total == 15
-        assert merged.samples[0].bits == (1, 1)
-        assert merged.samples[0].count == 8
+    def test_merge_sums_parts(self):
+        merged = SampleSet.merge([SampleSet(3, 10), SampleSet(0, 5), SampleSet(5, 5)])
+        assert merged == SampleSet(8, 20)
 
     def test_inconsistent_total_rejected(self):
-        from dwmwis import Sample
-
-        with pytest.raises(ValueError, match="add up"):
-            SampleSet(samples=(Sample((0,), 0.0, 2),), total=3)
+        for hits, total in ((3, 2), (-1, 4)):
+            with pytest.raises(ValueError, match="hits must be in"):
+                SampleSet(hits, total)

@@ -239,6 +239,19 @@ MALFORMED = {
         ["bench", "--graph", "{instance}", "--timing-profile", "{doc}"],
         '{"t_prog": 1' + "0" * 400 + ', "t_sample": 0.0004, "t_post": 0.02}',
     ),
+    "timing-constant-bool": (
+        ["bench", "--graph", "{instance}", "--timing-profile", "{doc}"],
+        '{"t_prog": true, "t_sample": 0.0004, "t_post": 0.02}',
+    ),
+    "timing-constant-string": (
+        ["bench", "--graph", "{instance}", "--timing-profile", "{doc}"],
+        '{"t_prog": 0.02, "t_sample": "0.001", "t_post": 0.02}',
+    ),
+    # finite constants whose modeled totals overflow to infinity
+    "timing-constant-huge": (
+        ["bench", "--graph", "{instance}", "--timing-profile", "{doc}"],
+        '{"t_prog": 1e308, "t_sample": 1e308, "t_post": 1e308}',
+    ),
     "weight-beyond-float": (
         ["bench", "--graph", "{doc}"],
         '{"n": 2, "edges": [[0, 1]], "weights": [1, 1' + "0" * 400 + "]}",

@@ -120,7 +120,7 @@ class TestRepair:
         fixed = repair(tree_weighted, (0, 0, 0, 1, 0))
         selected = decode(fixed)
         assert 3 in selected
-        assert tree_weighted.graph.is_independent(selected)
+        assert is_independent(tree_weighted.graph, selected)
         assert math.fsum(tree_weighted.weights[v] for v in selected) >= 3.0
 
     def test_equal_weight_edge_keeps_lower_index(self):

@@ -35,7 +35,6 @@ from dwmwis import (
     sample,
     scale_to_unit,
     solve_bip,
-    success_probability,
 )
 
 SEEDS = range(20)
@@ -65,8 +64,7 @@ def pooled_hits(family: str, params: tuple[int, ...]) -> tuple[int, int]:
         q_scaled, _ = scale_to_unit(embed_qubo(q, emb, gp))
         for seed in SEEDS:
             cfg = SamplerConfig(num_samples=READS, seed=(seed, 1000 + index, 0))
-            logical = logical_sampleset(sample(q_scaled, gp, cfg), emb, weighted, q)
-            hits += round(success_probability(logical, -optimum) * READS)
+            hits += logical_sampleset(sample(q_scaled, gp, cfg), emb, weighted, optimum).hits
             total += READS
     return hits, total
 
