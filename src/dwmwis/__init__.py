@@ -37,7 +37,6 @@ from .embedding import (
     clique_embedding,
     embed_qubo,
     heuristic_embed,
-    lift_bits,
     unembed,
     verify_embedding,
 )
@@ -61,7 +60,6 @@ from .qubo import (
     BitVector,
     QuboMatrix,
     auto_penalty,
-    decode,
     energy,
     mwis_to_qubo,
     repair,

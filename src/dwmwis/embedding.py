@@ -27,7 +27,9 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +45,6 @@ __all__ = [
     "clique_embedding",
     "embed_qubo",
     "unembed",
-    "lift_bits",
 ]
 
 
@@ -65,9 +66,27 @@ class Embedding:
     def max_chain_length(self) -> int:
         return max((len(c) for c in self.chains), default=0)
 
-    def owner(self) -> dict[int, int]:
-        """Map physical qubit -> owning logical vertex."""
-        return {q: v for v, chain in enumerate(self.chains) for q in chain}
+    @cached_property
+    def chain_edges(self) -> tuple[Mapping[tuple[int, int], tuple], tuple[tuple, ...]]:
+        """``(inter, intra)``: the hardware edges between the chains of each
+        touching logical pair ``(a, b)``, a < b, and inside each chain, in
+        sorted chip-edge order (``inter``'s keys too). Checks conditions 1-2
+        of ``verify_embedding`` once and raises ``ValueError`` on a failure."""
+        check = verify_embedding(Graph(self.logical_n, frozenset()), self.physical, self)
+        if not check:
+            detail = "; ".join(msg for _, msg in check.failures[:3])
+            raise ValueError(f"invalid embedding: {detail}")
+        owner = {q: v for v, chain in enumerate(self.chains) for q in chain}
+        inter: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        intra: list[list[tuple[int, int]]] = [[] for _ in self.chains]
+        for p, r in self.physical.sorted_edges():
+            if p in owner and r in owner:
+                a, b = owner[p], owner[r]
+                if a == b:
+                    intra[a].append((p, r))
+                else:
+                    inter.setdefault((min(a, b), max(a, b)), []).append((p, r))
+        return MappingProxyType({k: tuple(e) for k, e in inter.items()}), tuple(map(tuple, intra))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -490,30 +509,8 @@ def _split_parts(value: float, count: int) -> list[float]:
     return [coarse] * (count - 1) + [rest]
 
 
-def _chain_structure(
-    q: QuboMatrix, emb: Embedding, gp: Graph
-) -> tuple[dict[tuple[int, int], list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]:
-    """Bucket physical edges into inter-chain (per logical coupling) and intra-chain."""
-    owner = emb.owner()
-    inter: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    intra: dict[int, list[tuple[int, int]]] = {v: [] for v in range(emb.logical_n)}
-    for p, r in gp.sorted_edges():
-        a, b = owner.get(p), owner.get(r)
-        if a is None or b is None:
-            continue
-        if a == b:
-            intra[a].append((p, r))
-        else:
-            key = (min(a, b), max(a, b))
-            if key in q.entries and key[0] != key[1]:
-                inter.setdefault(key, []).append((p, r))
-    return inter, intra
-
-
 def _auto_strength(
-    q: QuboMatrix,
-    emb: Embedding,
-    inter: dict[tuple[int, int], list[tuple[int, int]]],
+    q: QuboMatrix, emb: Embedding, inter: Mapping[tuple[int, int], Sequence[tuple[int, int]]]
 ) -> float:
     """Chain strength that provably dominates any single chain qubit's load.
 
@@ -538,25 +535,26 @@ def _auto_strength(
 
 
 def embed_qubo(
-    q: QuboMatrix, emb: Embedding, gp: Graph, chain_strength: float | None = None
+    q: QuboMatrix, emb: Embedding, chain_strength: float | None = None
 ) -> QuboMatrix:
-    """Spread a logical QUBO over an embedding into the hardware graph.
+    """Spread a logical QUBO over an embedding into its hardware graph.
 
     Diagonals are split equally across their chain's qubits, couplings equally
     across every physical edge between the two chains, and each intra-chain
     edge receives the disagreement penalty (+M, +M, -2M). M is
     ``chain_strength``, or when that is None the one ``_auto_strength``
     derives from the matrix. With intact chains the physical energy of the
-    lifted state equals the logical energy.
+    lifted state equals the logical energy. Only the couplings of ``q`` are
+    checked per call; ``Embedding.chain_edges`` checks the chains once.
     """
     if q.n != emb.logical_n:
         raise ValueError(f"QUBO dimension {q.n} != embedded logical size {emb.logical_n}")
-    check = verify_embedding(q.coupling_graph(), gp, emb)
-    if not check:
-        detail = "; ".join(msg for _, msg in check.failures[:3])
-        raise ValueError(f"invalid embedding: {detail}")
+    pairs, intra = emb.chain_edges
+    uncovered = sorted(key for key in q.entries if key[0] != key[1] and key not in pairs)
+    if uncovered:
+        raise ValueError(f"invalid embedding: no physical edge joins the chains of {uncovered[:3]}")
+    inter = {key: edges for key, edges in pairs.items() if key in q.entries}
 
-    inter, intra = _chain_structure(q, emb, gp)
     strength = _auto_strength(q, emb, inter) if chain_strength is None else chain_strength
     if not strength > 0.0:
         raise ValueError(f"chain strength must be positive, got {strength}")
@@ -571,7 +569,7 @@ def embed_qubo(
     for key, edges in inter.items():
         for (p, r), part in zip(edges, _split_parts(q.entries[key], len(edges))):
             couplings[(p, r)] = part
-    for v, edges in intra.items():
+    for edges in intra:
         for p, r in edges:
             diag[p] = diag.get(p, 0.0) + strength
             diag[r] = diag.get(r, 0.0) + strength
@@ -584,19 +582,7 @@ def embed_qubo(
     for key, value in couplings.items():
         if value != 0.0:
             entries[key] = value
-    return QuboMatrix(n=gp.n, entries=entries)
-
-
-def lift_bits(emb: Embedding, x_logical: Sequence[int]) -> BitVector:
-    """Physical state with every chain set to its logical bit (others zero)."""
-    if len(x_logical) != emb.logical_n:
-        raise ValueError(f"logical vector length {len(x_logical)} != {emb.logical_n}")
-    bits = [0] * emb.physical.n
-    for v, chain in enumerate(emb.chains):
-        if x_logical[v]:
-            for qb in chain:
-                bits[qb] = 1
-    return tuple(bits)
+    return QuboMatrix(n=emb.physical.n, entries=entries)
 
 
 def unembed(

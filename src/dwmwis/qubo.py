@@ -1,6 +1,6 @@
 """Quadratic unconstrained binary optimisation: objective, the weighted
-independent-set reduction, solution decoding, constructive repair, and
-hardware-range rescaling.
+independent-set reduction, constructive repair, and hardware-range
+rescaling.
 
 The objective is ``f(x) = sum_{i <= j} x_i Q_{ij} x_j`` over bits ``x_i`` with
 an upper-triangular coefficient map ``Q``. Energies are evaluated with
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .graphs import Graph, WeightedGraph
+from .graphs import WeightedGraph
 
 __all__ = [
     "QuboMatrix",
@@ -25,7 +25,6 @@ __all__ = [
     "energy",
     "mwis_to_qubo",
     "auto_penalty",
-    "decode",
     "repair",
     "repairer",
     "scale_to_unit",
@@ -58,10 +57,6 @@ class QuboMatrix:
 
     def diagonal(self) -> dict[int, float]:
         return {i: v for (i, j), v in self.entries.items() if i == j}
-
-    def coupling_graph(self) -> Graph:
-        """Graph whose edges are the nonzero off-diagonal couplings."""
-        return Graph.from_edges(self.n, [(i, j) for (i, j) in self.entries if i != j])
 
     def max_abs_entry(self) -> float:
         return max(abs(v) for v in self.entries.values()) if self.entries else 0.0
@@ -106,11 +101,6 @@ def mwis_to_qubo(weighted: WeightedGraph, penalty: float | str = "auto") -> Qubo
     for u, v in weighted.graph.sorted_edges():
         entries[(u, v)] = s
     return QuboMatrix(n=weighted.n, entries=entries)
-
-
-def decode(x: Sequence[int]) -> frozenset[int]:
-    """Vertices selected by a bit vector."""
-    return frozenset(i for i, bit in enumerate(x) if bit)
 
 
 def repair(weighted: WeightedGraph, x: Sequence[int]) -> BitVector:

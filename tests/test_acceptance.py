@@ -25,14 +25,12 @@ from dwmwis import (
     chimera,
     cli,
     clique_embedding,
-    decode,
     embed_qubo,
     energy,
     gen_weights,
     generate_family,
     heuristic_embed,
     k_p,
-    lift_bits,
     mwis_to_qubo,
     ratios,
     run_hybrid,
@@ -40,7 +38,15 @@ from dwmwis import (
     timing_profile,
     verify_embedding,
 )
-from oracles import dyadic_weights, exhaustive_qubo_minimum, grid_weights, is_independent, random_graph
+from oracles import (
+    decode,
+    dyadic_weights,
+    exhaustive_qubo_minimum,
+    grid_weights,
+    is_independent,
+    lift_bits,
+    random_graph,
+)
 
 
 @contextmanager
@@ -147,7 +153,7 @@ def test_criterion_5_energy_correspondence_and_chain_breaks():
             assert result.ok
             emb = result.embedding
             q = mwis_to_qubo(weighted, "auto")
-            physical = embed_qubo(q, emb, gp)
+            physical = embed_qubo(q, emb)
             for bits in itertools.product((0, 1), repeat=n):
                 assert energy(physical, lift_bits(emb, bits)) == energy(q, bits)
             optimum, _ = brute_force_mwis(weighted)

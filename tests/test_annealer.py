@@ -52,7 +52,7 @@ class TestSampler:
 
     def test_worked_instance_reaches_optimum(self, tree_weighted, chip1, tree_embedding):
         q = mwis_to_qubo(tree_weighted, 12.0)
-        physical = embed_qubo(q, tree_embedding, chip1)
+        physical = embed_qubo(q, tree_embedding)
         scaled, _ = scale_to_unit(physical)
         ss = sample(scaled, chip1, SamplerConfig(num_samples=200, seed=9))
         logical = logical_sampleset(ss, tree_embedding, tree_weighted, 9.0)
@@ -80,7 +80,7 @@ class TestSampler:
         weighted = WeightedGraph(g, grid_weights(7, rng))
         q = mwis_to_qubo(weighted, "auto")
         emb = heuristic_embed(g, chip2, seed=2, max_tries=4).embedding
-        physical = embed_qubo(q, emb, chip2)
+        physical = embed_qubo(q, emb)
         scaled, _ = scale_to_unit(physical)
         reads = sample(scaled, chip2, SamplerConfig(num_samples=64, seed=21))
         active = sorted({i for key in scaled.entries for i in key})
@@ -223,7 +223,7 @@ class TestSweepLayers:
         g = random_graph(7, 0.5, rng)
         q = mwis_to_qubo(WeightedGraph(g, grid_weights(7, rng)), "auto")
         emb = heuristic_embed(g, chip2, seed=2, max_tries=4).embedding
-        physical = embed_qubo(q, emb, chip2)
+        physical = embed_qubo(q, emb)
         assert_sweep_layers(physical, _sweep_layers(physical))
 
     @pytest.mark.parametrize("family, params", [("Petersen", ()), ("Complete", (5,))])

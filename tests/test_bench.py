@@ -24,6 +24,7 @@ from dwmwis import (
     WeightedGraph,
     chimera,
     embed_qubo,
+    embedding,
     energy,
     gen_weights,
     generate_family,
@@ -227,6 +228,29 @@ class TestPipelines:
             run_hybrid(inst, chimera(1), BenchConfig(seed=0, max_tries=2),
                        timing_profile("dwave2x"))
 
+    def test_chains_are_checked_once_per_run(self, monkeypatch, tree_graph, chip1):
+        result = heuristic_embed(tree_graph, chip1, seed=0)
+        calls = []
+        check = embedding.verify_embedding
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(embedding, "verify_embedding", counted)
+        inst = DwmwisInstance(tree_graph, gen_weights(5, 5, seed=2))
+        record = run_hybrid(inst, chip1, BenchConfig(seed=1, sample_budgets=(20,), sweeps=2),
+                            timing_profile("dwave2x"), embed_result=result)
+        assert record.m == 5
+        assert len(calls) <= 1
+
+    def test_embedding_for_another_chip_rejected(self, tree_graph, chip1, chip2):
+        result = heuristic_embed(tree_graph, chip1, seed=0)
+        inst = DwmwisInstance(tree_graph, gen_weights(5, 1, seed=2))
+        with pytest.raises(ValueError, match="another hardware graph"):
+            run_hybrid(inst, chip2, BenchConfig(seed=1, sample_budgets=(20,)),
+                       timing_profile("dwave2x"), embed_result=result)
+
     def test_hits_do_not_depend_on_weight_scale(self, chip2):
         # scaling by a power of two leaves the embedded, unit-scaled matrix and
         # so the reads bit-identical; the hit test must scale with the weights
@@ -266,7 +290,7 @@ class TestLogicalSampleset:
             weighted = WeightedGraph(g, grid_weights(g.n, rng))
             emb = heuristic_embed(g, chip2, seed=seed, max_tries=8).embedding
             q = mwis_to_qubo(weighted, "auto")
-            q_scaled, _ = scale_to_unit(embed_qubo(q, emb, chip2))
+            q_scaled, _ = scale_to_unit(embed_qubo(q, emb))
             annealed = sample(q_scaled, chip2, SamplerConfig(num_samples=100, sweeps=3, seed=seed))
             uniform = rng.integers(0, 2, size=(200, chip2.n)).astype(np.int8)
             physical = np.concatenate([physical_rows(annealed, chip2.n), uniform])
@@ -297,7 +321,7 @@ class TestLogicalSampleset:
 
     def test_chain_qubit_without_column_rejected(self, tree_weighted, tree_embedding, chip1):
         q = mwis_to_qubo(tree_weighted, 12.0)
-        reads = sample(embed_qubo(q, tree_embedding, chip1), chip1, SamplerConfig(num_samples=4))
+        reads = sample(embed_qubo(q, tree_embedding), chip1, SamplerConfig(num_samples=4))
         dropped = Reads(reads.samples[:, 1:], reads.qubits[1:])
         with pytest.raises(ValueError, match="no column"):
             logical_sampleset(dropped, tree_embedding, tree_weighted, 9.0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dwmwis import (
     WeightedGraph,
     brute_force_mwis,
     build_constraints,
+    gen_weights,
     generate_family,
     solve_bip,
 )
@@ -92,3 +94,23 @@ class TestSolve:
         reused = [solve_bip(shared, w).value for w in weightings]
         fresh = [solve_bip(build_constraints(g), w).value for w in weightings]
         assert reused == fresh
+
+    def test_prune_margin_scales_with_the_weights(self):
+        # scaling by a power of two is exact, so a margin that scales with the
+        # weights makes the same prunes; one that does not can stop them all
+        cs = build_constraints(generate_family(FamilySpec("Grid", (5, 6))))
+        weights = gen_weights(30, 1, seed=1)[0]
+        tiny = tuple(w * 2.0**-40 for w in weights)
+
+        def best_of_three(w):
+            times = []
+            for _ in range(3):
+                t0 = time.process_time()
+                solution = solve_bip(cs, w)
+                times.append(time.process_time() - t0)
+            return solution.vertices, min(times)
+
+        plain, plain_s = best_of_three(weights)
+        scaled, scaled_s = best_of_three(tiny)
+        assert scaled == plain
+        assert scaled_s <= 10 * max(plain_s, 1e-3)

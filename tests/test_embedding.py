@@ -16,18 +16,24 @@ from dwmwis import (
     brute_force_mwis,
     chimera,
     clique_embedding,
-    decode,
     embed_qubo,
     energy,
     generate_family,
     heuristic_embed,
-    lift_bits,
     mwis_to_qubo,
     unembed,
     verify_embedding,
 )
 from dwmwis.embedding import _dijkstra_to_chain, _walk
-from oracles import dyadic_weights, exhaustive_qubo_minimum, is_independent, random_graph
+from oracles import (
+    decode,
+    dyadic_weights,
+    embed_qubo_reference,
+    exhaustive_qubo_minimum,
+    is_independent,
+    lift_bits,
+    random_graph,
+)
 
 
 class TestVerify:
@@ -208,7 +214,7 @@ class TestEmbedQubo:
     def test_single_vertex_two_qubit_chain_by_hand(self, chip1):
         q = QuboMatrix(1, {(0, 0): -8.0})
         emb = Embedding(chains=((0, 4),), physical=chip1)
-        physical = embed_qubo(q, emb, chip1, chain_strength=20.0)
+        physical = embed_qubo(q, emb, chain_strength=20.0)
         assert physical.entries == {(0, 0): 16.0, (4, 4): 16.0, (0, 4): -40.0}
         grid = {(a, b): None for a in (0, 1) for b in (0, 1)}
         for a, b in grid:
@@ -217,9 +223,9 @@ class TestEmbedQubo:
             grid[(a, b)] = energy(physical, tuple(x))
         assert grid == {(0, 0): 0.0, (1, 0): 16.0, (0, 1): 16.0, (1, 1): -8.0}
 
-    def test_unit_chains_relabel_the_logical_problem(self, tree_weighted, chip1, tree_embedding):
+    def test_unit_chains_relabel_the_logical_problem(self, tree_weighted, tree_embedding):
         q = mwis_to_qubo(tree_weighted, 12.0)
-        physical = embed_qubo(q, tree_embedding, chip1)
+        physical = embed_qubo(q, tree_embedding)
         relabel = {v: chain[0] for v, chain in enumerate(tree_embedding.chains)}
         expected = {}
         for (i, j), value in q.entries.items():
@@ -227,9 +233,9 @@ class TestEmbedQubo:
             expected[(min(a, b), max(a, b))] = value
         assert dict(physical.entries) == expected
 
-    def test_worked_instance_physical_minimum(self, tree_weighted, chip1, tree_embedding):
+    def test_worked_instance_physical_minimum(self, tree_weighted, tree_embedding):
         q = mwis_to_qubo(tree_weighted, 12.0)
-        physical = embed_qubo(q, tree_embedding, chip1)
+        physical = embed_qubo(q, tree_embedding)
         minimum, minimizers = exhaustive_qubo_minimum(physical)
         assert minimum == -9.0
         logical = {unembed(x, tree_embedding, tree_weighted) for x in minimizers}
@@ -239,13 +245,41 @@ class TestEmbedQubo:
         q = QuboMatrix(2, {(0, 0): -1.0, (1, 1): -1.0, (0, 1): 2.0})
         emb = Embedding(chains=((0,), (1,)), physical=chip1)  # no coupler 0-1
         with pytest.raises(ValueError, match="invalid embedding"):
-            embed_qubo(q, emb, chip1)
+            embed_qubo(q, emb)
+
+    @pytest.mark.parametrize(
+        "chains", [((0, 4), (4, 1)), ((0, 1), (4,)), ((0,), ()), ((0,), (4, 8))],
+        ids=["shared", "disconnected", "empty", "off-chip"],
+    )
+    def test_rejects_broken_chains(self, chip1, chains):
+        q = QuboMatrix(2, {(0, 0): -1.0, (1, 1): -1.0})
+        with pytest.raises(ValueError, match="invalid embedding"):
+            embed_qubo(q, Embedding(chains=chains, physical=chip1))
 
     def test_rejects_nonpositive_strength(self, chip1):
         q = QuboMatrix(1, {(0, 0): -8.0})
         emb = Embedding(chains=((0, 4),), physical=chip1)
         with pytest.raises(ValueError, match="positive"):
-            embed_qubo(q, emb, chip1, chain_strength=0.0)
+            embed_qubo(q, emb, chain_strength=0.0)
+
+    @pytest.mark.parametrize("strength", [None, 4.0])
+    @pytest.mark.parametrize("k", [2, 4, 12])
+    def test_entries_and_their_order_match_per_call_construction(self, k, strength):
+        # the sampler sums each qubit's field in entry order, so the order counts
+        gp, rng = chimera(k), np.random.default_rng(k)
+        if k == 12:
+            graphs = [generate_family(FamilySpec("Cycle", (20,)))]
+        else:
+            graphs = [random_graph(int(rng.integers(3, 10)), 0.4, rng) for _ in range(4)]
+        for trial, g in enumerate(graphs):
+            emb = heuristic_embed(g, gp, seed=42 + trial).embedding
+            assert emb is not None
+            for _ in range(3):
+                q = mwis_to_qubo(WeightedGraph(g, dyadic_weights(g.n, rng)), "auto")
+                new = embed_qubo(q, emb, strength)
+                old = embed_qubo_reference(q, emb, gp, strength)
+                assert list(new.entries.items()) == list(old.entries.items())
+                assert new.n == old.n
 
 
 class TestEnergyCorrespondence:
@@ -266,7 +300,7 @@ class TestEnergyCorrespondence:
     def test_exact_on_dyadic_instances(self, trial):
         weighted, gp, emb = self._seeded_instance(trial)
         q = mwis_to_qubo(weighted, "auto")
-        physical = embed_qubo(q, emb, gp)
+        physical = embed_qubo(q, emb)
         for bits in itertools.product((0, 1), repeat=weighted.n):
             assert energy(physical, lift_bits(emb, bits)) == energy(q, bits)
 
@@ -274,7 +308,7 @@ class TestEnergyCorrespondence:
     def test_chain_break_strictly_increases_energy(self, trial):
         weighted, gp, emb = self._seeded_instance(trial)
         q = mwis_to_qubo(weighted, "auto")
-        physical = embed_qubo(q, emb, gp)
+        physical = embed_qubo(q, emb)
         optimum, _ = brute_force_mwis(weighted)
         x_logical = tuple(1 if v in optimum else 0 for v in range(weighted.n))
         lifted = list(lift_bits(emb, x_logical))
@@ -294,7 +328,7 @@ class TestEnergyCorrespondence:
         gp = chimera(2)
         emb = heuristic_embed(g, gp, seed=3, max_tries=8).embedding
         q = mwis_to_qubo(weighted, "auto")
-        physical = embed_qubo(q, emb, gp)
+        physical = embed_qubo(q, emb)
         for bits in itertools.product((0, 1), repeat=6):
             assert energy(physical, lift_bits(emb, bits)) == pytest.approx(
                 energy(q, bits), abs=1e-9

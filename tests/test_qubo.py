@@ -12,7 +12,6 @@ from dwmwis import (
     WeightedGraph,
     auto_penalty,
     brute_force_mwis,
-    decode,
     energy,
     generate_family,
     mwis_to_qubo,
@@ -20,7 +19,7 @@ from dwmwis import (
     scale_to_unit,
 )
 from dwmwis.qubo import repairer
-from oracles import exhaustive_qubo_minimum, grid_weights, is_independent, random_graph
+from oracles import decode, exhaustive_qubo_minimum, grid_weights, is_independent, random_graph
 
 # the worked five-vertex reduction with penalty 12
 WORKED_MATRIX = {

@@ -61,7 +61,7 @@ def pooled_hits(family: str, params: tuple[int, ...]) -> tuple[int, int]:
         weighted = WeightedGraph(g, weights)
         optimum = solve_bip(constraints, weights).value
         q = mwis_to_qubo(weighted, "auto")
-        q_scaled, _ = scale_to_unit(embed_qubo(q, emb, gp))
+        q_scaled, _ = scale_to_unit(embed_qubo(q, emb))
         for seed in SEEDS:
             cfg = SamplerConfig(num_samples=READS, seed=(seed, 1000 + index, 0))
             hits += logical_sampleset(sample(q_scaled, gp, cfg), emb, weighted, optimum).hits
