@@ -2,10 +2,13 @@
 
 Nothing here shares code paths with the package: minima come from full
 enumeration, independence checks walk the edge list directly, and weights are
-re-summed with fsum so comparisons against the library are bit-exact. The one
-exception is ``embed_qubo_reference``: it rebuilds the chain structure on every
-call, and shares ``verify_embedding``, the weight split and the automatic chain
-strength with the library.
+re-summed with fsum so comparisons against the library are bit-exact. The
+exact optima of cycles and trees are computed in integer hundredths by linear
+dynamic programmes. Two oracles are exceptions. ``embed_qubo_reference``
+rebuilds the chain structure on every call, and shares ``verify_embedding``,
+the weight split and the automatic chain strength with the library.
+``solve_bip_reference`` is the branch and bound with the trivial bound, and
+shares the constraint set and the greedy start with the library.
 """
 
 from __future__ import annotations
@@ -15,7 +18,16 @@ from typing import Sequence
 
 import numpy as np
 
-from dwmwis import Embedding, Graph, QuboMatrix, WeightedGraph, energy, verify_embedding
+from dwmwis import (
+    ConstraintSet,
+    Embedding,
+    Graph,
+    QuboMatrix,
+    WeightedGraph,
+    energy,
+    verify_embedding,
+)
+from dwmwis.bip import _greedy_start
 from dwmwis.embedding import _auto_strength, _split_parts
 
 ENUMERATION_LIMIT = 20
@@ -81,6 +93,115 @@ def reference_mwis(weighted: WeightedGraph) -> tuple[frozenset[int], float]:
 
     recurse(0, set())
     return best_set, best_weight
+
+
+def solve_bip_reference(
+    cs: ConstraintSet, weights: Sequence[float]
+) -> tuple[float, frozenset[int]]:
+    """Branch and bound over ``cs.order``, include before exclude, pruned by
+    "chosen weight plus all still-available weight", by recursion. It starts
+    from the library's greedy set and replaces the best only on a strictly
+    greater value, so ``solve_bip`` must return the same value and set, ties
+    included. The recursion is as deep as the graph is large: keep n small."""
+    n = cs.n
+    w = [float(x) for x in weights]
+
+    def value_of(mask: int) -> float:
+        return math.fsum(w[v] for v in range(n) if (mask >> v) & 1)
+
+    best_mask = _greedy_start(cs, w)
+    best_value = value_of(best_mask)
+    margin = 4 * (n + 2) * math.ulp(math.fsum(w))
+
+    def dfs(pos: int, chosen: int, chosen_w: float, avail: int, avail_w: float) -> None:
+        nonlocal best_mask, best_value
+        if chosen_w + avail_w + margin <= best_value:
+            return
+        while pos < n and not (avail >> cs.order[pos]) & 1:
+            pos += 1
+        if pos == n:
+            value = value_of(chosen)
+            if value > best_value:
+                best_value, best_mask = value, chosen
+            return
+        v = cs.order[pos]
+        nbrs = cs.neighbor_masks[v] & avail
+        dropped_w = math.fsum(w[i] for i in range(n) if (nbrs >> i) & 1) + w[v]
+        dropped = nbrs | (1 << v)
+        dfs(pos + 1, chosen | (1 << v), chosen_w + w[v], avail & ~dropped, avail_w - dropped_w)
+        if nbrs:
+            dfs(pos + 1, chosen, chosen_w, avail & ~(1 << v), avail_w - w[v])
+
+    dfs(0, 0, 0.0, (1 << n) - 1, math.fsum(w))
+    return best_value, frozenset(v for v in range(n) if (best_mask >> v) & 1)
+
+
+def hundredths(weights: Sequence[float]) -> list[int]:
+    """Two-decimal weights as exact integer hundredths; raises off the grid."""
+    out = [round(x * 100) for x in weights]
+    for x, k in zip(weights, out):
+        if k / 100 != x or k < 1:
+            raise ValueError(f"weight {x!r} is not a positive two-decimal value")
+    return out
+
+
+def cycle_optimum(g: Graph, w: Sequence[int]) -> int:
+    """Maximum independent-set weight of a graph that is one cycle, by a
+    transfer along the ring from vertex 0, once with vertex 0 left out and
+    once with it taken (and so its other ring neighbour left out)."""
+    adj = g.adjacency()
+    if g.n < 3 or any(len(nbrs) != 2 for nbrs in adj):
+        raise ValueError("not a cycle")
+    ring = [0, min(adj[0])]
+    while len(ring) < g.n:
+        ring.append(next(iter(adj[ring[-1]] - {ring[-2]})))
+    if ring[-1] not in adj[0] or len(set(ring)) != g.n:
+        raise ValueError("not a single cycle")
+
+    def path_optimum(path: list[int]) -> int:
+        out, taken = 0, 0  # best with the last vertex left out / taken
+        for v in path:
+            out, taken = max(out, taken), out + w[v]
+        return max(out, taken)
+
+    return max(path_optimum(ring[1:]), w[ring[0]] + path_optimum(ring[2:-1]))
+
+
+def forest_optimum(g: Graph, w: Sequence[int]) -> int:
+    """Maximum independent-set weight of a forest: per vertex, the best of its
+    subtree with it taken and with it left out, children before parents."""
+    adj = g.adjacency()
+    taken = list(w)
+    out = [0] * g.n
+    seen = [False] * g.n
+    total = 0
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        visit, parent = [root], {root: None}
+        for v in visit:  # breadth-first; grows while it is read
+            for u in adj[v]:
+                if u == parent[v]:
+                    continue
+                if seen[u]:
+                    raise ValueError("not a forest")
+                seen[u] = True
+                parent[u] = v
+                visit.append(u)
+        for v in reversed(visit):
+            p = parent[v]
+            if p is not None:
+                taken[p] += out[v]
+                out[p] += max(out[v], taken[v])
+        total += max(out[root], taken[root])
+    return total
+
+
+def random_tree(n: int, rng: np.random.Generator) -> Graph:
+    """Uniform random attachment tree on n vertices, with labels shuffled."""
+    label = rng.permutation(n)
+    return Graph.from_edges(n, [(label[v], label[rng.integers(0, v)]) for v in range(1, n)])
 
 
 def is_independent(g: Graph, vertices) -> bool:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -16,7 +17,16 @@ from dwmwis import (
     generate_family,
     solve_bip,
 )
-from oracles import grid_weights, random_graph
+from oracles import (
+    cycle_optimum,
+    forest_optimum,
+    grid_weights,
+    hundredths,
+    is_independent,
+    random_graph,
+    random_tree,
+    solve_bip_reference,
+)
 
 
 class TestBuildConstraints:
@@ -69,6 +79,23 @@ class TestSolve:
         with pytest.raises(ValueError, match="expected 5"):
             solve_bip(cs, (1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "weights",
+        [(math.inf, 1.0, 1.0), (1e308, 1e308, 1e308)],
+        ids=["infinite", "total-overflows"],
+    )
+    def test_rejects_weights_without_a_finite_total(self, weights):
+        cs = build_constraints(Graph.from_edges(3, [(0, 1), (1, 2)]))
+        with pytest.raises(ValueError, match="finite|overflows"):
+            solve_bip(cs, weights)
+
+    def test_leaves_the_recursion_limit_alone(self):
+        cs = build_constraints(Graph.from_edges(3000, []))
+        before = sys.getrecursionlimit()
+        solution = solve_bip(cs, [1.0] * 3000)
+        assert sys.getrecursionlimit() == before
+        assert solution.vertices == frozenset(range(3000))
+
     @pytest.mark.parametrize("trial", range(15))
     def test_matches_oracle_exactly(self, trial):
         rng = np.random.default_rng(1300 + trial)
@@ -114,3 +141,78 @@ class TestSolve:
         scaled, scaled_s = best_of_three(tiny)
         assert scaled == plain
         assert scaled_s <= 10 * max(plain_s, 1e-3)
+
+
+def _check_optimal(g, weights, solution, optimum_hundredths):
+    assert is_independent(g, solution.vertices)
+    assert solution.value == math.fsum(weights[v] for v in sorted(solution.vertices))
+    assert sum(hundredths([weights[v] for v in solution.vertices])) == optimum_hundredths
+
+
+class TestAgainstReference:
+    """A valid bound prunes only branches that cannot replace the best, so
+    value and set, ties included, equal those of the trivially bounded
+    search over the same order."""
+
+    @pytest.mark.parametrize("trial", range(60))
+    def test_random_graph(self, trial):
+        rng = np.random.default_rng(4100 + trial)
+        n = int(rng.integers(1, 19))
+        g = random_graph(n, float(rng.uniform(0.05, 0.8)), rng)
+        # weights of 0.01 and 0.02 on odd trials: a fifth of all trials have co-optimal sets
+        top = 3 if trial % 2 else 100
+        weights = tuple(float(k) / 100 for k in rng.integers(1, top, size=n))
+        cs = build_constraints(g)
+        solution = solve_bip(cs, weights)
+        assert (solution.value, solution.vertices) == solve_bip_reference(cs, weights)
+
+    @pytest.mark.parametrize(
+        "family,params", [("Grid", (5, 5)), ("Star", (12,)), ("Complete", (7,))]
+    )
+    def test_family(self, family, params):
+        g = generate_family(FamilySpec(family, params))
+        cs = build_constraints(g)
+        for weights in gen_weights(g.n, 5, seed=7):
+            solution = solve_bip(cs, weights)
+            assert (solution.value, solution.vertices) == solve_bip_reference(cs, weights)
+
+
+class TestAgainstDynamicProgramme:
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 11])
+    def test_oracles_agree_with_enumeration(self, n):
+        rng = np.random.default_rng(n)
+
+        def enumerated(g, weights):
+            vertices, _ = brute_force_mwis(WeightedGraph(g, weights))
+            return sum(hundredths([weights[v] for v in vertices]))
+
+        cycle = generate_family(FamilySpec("Cycle", (n,)))
+        weights = grid_weights(n, rng)
+        assert cycle_optimum(cycle, hundredths(weights)) == enumerated(cycle, weights)
+        tree = random_tree(n, rng)
+        weights = grid_weights(n, rng)
+        assert forest_optimum(tree, hundredths(weights)) == enumerated(tree, weights)
+
+    @pytest.mark.parametrize("n", range(30, 61))
+    def test_cycle(self, n):
+        g = generate_family(FamilySpec("Cycle", (n,)))
+        weights = gen_weights(n, 1, seed=n)[0]
+        solution = solve_bip(build_constraints(g), weights)
+        _check_optimal(g, weights, solution, cycle_optimum(g, hundredths(weights)))
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_random_tree(self, trial):
+        rng = np.random.default_rng(5200 + trial)
+        g = random_tree(int(rng.integers(2, 41)), rng)
+        weights = grid_weights(g.n, rng)
+        solution = solve_bip(build_constraints(g), weights)
+        _check_optimal(g, weights, solution, forest_optimum(g, hundredths(weights)))
+
+    def test_cycle_60_within_cpu_budget(self):
+        g = generate_family(FamilySpec("Cycle", (60,)))
+        weights = gen_weights(60, 1, seed=1)[0]
+        cs = build_constraints(g)
+        t0 = time.process_time()
+        solution = solve_bip(cs, weights)
+        assert time.process_time() - t0 < 8.0
+        _check_optimal(g, weights, solution, cycle_optimum(g, hundredths(weights)))
