@@ -203,16 +203,16 @@ def _dijkstra_to_chain(
     adj: list[list[int]],
     free: list[bool],
     cost: list[float],
-    goals: set[int] | None = None,
+    goals: set[int],
 ) -> tuple[list[float], list[int]]:
-    """Cheapest free-qubit routes ending next to ``chain``.
+    """Cheapest free-qubit routes from ``goals`` to ``chain``.
 
     ``dist[q]`` is the total cost of free qubits on the best path from q to a
     qubit adjacent to the chain, q itself included; ``parent`` points one step
-    along that path (-1 at the chain-adjacent end). With ``goals`` the search
-    stops once the popped distance exceeds that of the first goal popped: every
-    goal of least ``(dist, qubit)`` is then final, with its whole parent walk,
-    and every other goal's entry is larger or infinite.
+    along that path (-1 at the chain-adjacent end). The search stops once the
+    popped distance exceeds that of the first goal popped: every goal of least
+    ``(dist, qubit)`` is then final, with its whole parent walk, and every
+    other goal's entry is larger or infinite.
     """
     n = len(adj)
     dist = [math.inf] * n
@@ -231,7 +231,7 @@ def _dijkstra_to_chain(
             continue
         if d > bound:
             break
-        if goals is not None and q in goals:
+        if q in goals:
             bound = d
         for nb in adj[q]:
             if free[nb]:
@@ -241,6 +241,63 @@ def _dijkstra_to_chain(
                     parent[nb] = q
                     push(heap, (nd, nb))
     return dist, parent
+
+
+def _best_root(
+    targets: list[set[int]],
+    adj: list[list[int]],
+    free: list[bool],
+    cost: list[float],
+) -> tuple[int, list[list[float]]]:
+    """The free qubit of least summed route cost to all ``targets``.
+
+    The score of q is ``dist_0[q] + ... + dist_{T-1}[q] - (T-1) * cost[q]``,
+    where ``dist_t[q]`` is the cost of the cheapest free path from q to a
+    qubit next to target t, q included; the least ``(score, qubit)`` wins.
+    The T searches share one heap and stop once the smallest distance left in
+    it exceeds the best score found: every ``dist_t >= cost`` makes each
+    score at least each of its terms, so no unsettled qubit can still tie the
+    best. Returns ``(root, fields)`` with ``fields[t]`` the distances of
+    search t, final at the root; ``root`` is -1 when no free qubit reaches
+    every target.
+    """
+    n, size = len(adj), len(targets)
+    cost = [c if f else math.inf for c, f in zip(cost, free)]
+    fields = [[math.inf] * n for _ in targets]
+    settled = [0] * n
+    heap: list[tuple[float, int, int]] = []
+    for t, chain in enumerate(targets):
+        dist = fields[t]
+        for c in chain:
+            for q in adj[c]:
+                if cost[q] < dist[q]:
+                    dist[q] = cost[q]
+                    heap.append((cost[q], t, q))
+    heapq.heapify(heap)
+    best, root, limit = math.inf, -1, math.inf
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, t, q = pop(heap)
+        if d > limit:
+            break
+        dist = fields[t]
+        if d > dist[q]:
+            continue
+        settled[q] += 1
+        if settled[q] == size:
+            score = 0.0
+            for field in fields:
+                score += field[q]
+            score -= (size - 1) * cost[q]
+            if score < best or (score == best and q < root):
+                # the margin only absorbs the rounding of the score's sum
+                best, root, limit = score, q, score * (1.0 + 1e-9)
+        for nb in adj[q]:
+            nd = d + cost[nb]
+            if nd < dist[nb]:
+                dist[nb] = nd
+                push(heap, (nd, t, nb))
+    return root, fields
 
 
 def _walk(parent: list[int], start: int) -> list[int]:
@@ -284,11 +341,14 @@ def _route_vertex(
 ) -> tuple[set[int], list[set[int]]] | None:
     """Grow a new chain connected to every target chain.
 
-    Picks a root minimising the summed route costs to all targets, then routes
-    to each target in turn through currently free qubits. When ``donate`` is
-    set, the far half of each route is handed to the target's chain (the
-    vertex-model growth that keeps high-degree hubs reachable); otherwise the
-    whole route joins the new chain.
+    The root is the free qubit whose summed route costs to all targets, its
+    own cost counted once, are least, lowest index on ties (Cai, Macready &
+    Roy, arXiv:1406.2741). ``_best_root`` finds it exactly with searches that
+    stop once no unreached qubit can match the best score. The chain then
+    routes to each target in turn, nearest first, through currently free
+    qubits. When ``donate`` is set, the far half of each route is handed to
+    the target's chain (the vertex-model growth that keeps high-degree hubs
+    reachable); otherwise the whole route joins the new chain.
     """
     cost = ws.cost()
     if len(targets) == 1:
@@ -299,15 +359,8 @@ def _route_vertex(
         root = min(frontier)[1]
         ws.occupy([root])
         return {root}, [set()]
-    free, cost_list = ws.free.tolist(), cost.tolist()
-    fields = [_dijkstra_to_chain(t, ws.adj, free, cost_list) for t in targets]
-    score = np.zeros(len(ws.free))
-    for dist, _ in fields:
-        score += dist
-    score -= (len(targets) - 1) * cost
-    score[~ws.free] = math.inf
-    root = int(np.argmin(score))
-    if not math.isfinite(score[root]):
+    root, fields = _best_root(targets, ws.adj, ws.free.tolist(), cost.tolist())
+    if root < 0:
         return None
 
     chain: set[int] = {root}
@@ -319,7 +372,7 @@ def _route_vertex(
         for extra in donations:
             ws.release(extra)
 
-    order = sorted(range(len(targets)), key=lambda t: (fields[t][0][root], t))
+    order = sorted(range(len(targets)), key=lambda t: (fields[t][root], t))
     for t in order:
         target = targets[t]
         if any(nb in target for q in chain for nb in ws.adj[q]):

@@ -13,6 +13,7 @@ shares the constraint set and the greedy start with the library.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Sequence
 
@@ -307,3 +308,52 @@ def embed_qubo_reference(
         if value != 0.0:
             entries[key] = value
     return QuboMatrix(n=gp.n, entries=entries)
+
+
+def flood_reference(
+    chain: set[int], adj: list[list[int]], free: list[bool], cost: list[float]
+) -> tuple[list[float], list[int]]:
+    """Dijkstra over every free qubit from the free neighbours of ``chain``:
+    ``dist[q]`` is the cost of the cheapest free path from q to a qubit next to
+    the chain, q included, and ``parent`` points one step along it (-1 at the
+    chain-adjacent end). Runs to exhaustion, with no goals and no early stop."""
+    dist = [math.inf] * len(adj)
+    parent = [-1] * len(adj)
+    heap: list[tuple[float, int]] = []
+    for c in chain:
+        for q in adj[c]:
+            if free[q] and cost[q] < dist[q]:
+                dist[q] = cost[q]
+                heapq.heappush(heap, (cost[q], q))
+    while heap:
+        d, q = heapq.heappop(heap)
+        if d > dist[q]:
+            continue
+        for nb in adj[q]:
+            if free[nb] and d + cost[nb] < dist[nb]:
+                dist[nb] = d + cost[nb]
+                parent[nb] = q
+                heapq.heappush(heap, (dist[nb], nb))
+    return dist, parent
+
+
+def root_scores(fields: list[list[float]], free: list[bool], cost: list[float]) -> np.ndarray:
+    """Summed route cost of every qubit to all targets, its own cost counted
+    once: ``dist_0 + ... + dist_{T-1} - (T-1) * cost``, infinite where occupied."""
+    score = np.zeros(len(free))
+    for dist in fields:
+        score += dist
+    score -= (len(fields) - 1) * np.asarray(cost)
+    score[~np.asarray(free)] = math.inf
+    return score
+
+
+def best_root_reference(
+    targets: list[set[int]], adj: list[list[int]], free: list[bool], cost: list[float]
+) -> tuple[int, list[list[float]]]:
+    """Root selection from one full flood per target: the first qubit of least
+    ``root_scores`` (``np.argmin``), or -1 when every score is infinite."""
+    fields = [flood_reference(t, adj, free, cost)[0] for t in targets]
+    score = root_scores(fields, free, cost)
+    root = int(np.argmin(score))
+    return (root if math.isfinite(score[root]) else -1), fields

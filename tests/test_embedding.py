@@ -24,15 +24,18 @@ from dwmwis import (
     unembed,
     verify_embedding,
 )
-from dwmwis.embedding import _dijkstra_to_chain, _walk
+from dwmwis.embedding import _best_root, _dijkstra_to_chain, _walk
 from oracles import (
+    best_root_reference,
     decode,
     dyadic_weights,
     embed_qubo_reference,
     exhaustive_qubo_minimum,
+    flood_reference,
     is_independent,
     lift_bits,
     random_graph,
+    root_scores,
 )
 
 
@@ -154,6 +157,20 @@ class TestEmbedderPinned:
         assert (_chains_digest(result), result.restarts) == (digest, restarts)
 
     @pytest.mark.parametrize(
+        "family, params, digest, restarts",
+        [
+            ("Cycle", (20,), "ee7540c215ad9d0d", 8),
+            ("Star", (20,), "038ba6b7cf33f189", 8),
+            ("Complete", (8,), "72e755b406302c7d", 8),
+            ("CompleteBipartite", (4, 4), "8e4427e0409705c1", 7),
+        ],
+    )
+    def test_protocol_graphs_on_chimera_12(self, family, params, digest, restarts):
+        g = generate_family(FamilySpec(family, params))
+        result = heuristic_embed(g, chimera(12), seed=42)
+        assert (_chains_digest(result), result.restarts) == (digest, restarts)
+
+    @pytest.mark.parametrize(
         "trial, digest", [(8, "bd84803ff5711395"), (9, "be8629c7fbf78154")]
     )
     def test_criterion_4_graphs_on_chimera_12(self, trial, digest):
@@ -181,7 +198,7 @@ class TestRoutingSearch:
                 free[q] = False
             goals = {q for c in chain for q in adj[c] if free[q]}
 
-            full_dist, full_parent = _dijkstra_to_chain(target, adj, free, cost)
+            full_dist, full_parent = flood_reference(target, adj, free, cost)
             dist, parent = _dijkstra_to_chain(target, adj, free, cost, goals)
             reached = sorted((full_dist[q], q) for q in goals if full_dist[q] < math.inf)
             early = [(dist[q], q) for q in goals if dist[q] < math.inf]
@@ -193,6 +210,44 @@ class TestRoutingSearch:
             assert _walk(parent, start) == _walk(full_parent, start)
             tied += len(reached) > 1 and reached[1][0] == reached[0][0]
         assert tied >= 5
+
+    def test_early_stop_picks_the_flood_root(self):
+        # odd cases draw costs from {1, 1.5, 2}, so that tied scores occur;
+        # every tenth case walls its first target in, so that no root exists
+        tied = walled = 0
+        for case in range(120):
+            rng = np.random.default_rng(4300 + case)
+            gp = chimera(2 if case % 3 else 4)
+            adj = [sorted(s) for s in gp.adjacency()]
+            free = (rng.random(gp.n) < 0.8).tolist()
+            if case % 2:
+                cost = rng.choice([1.0, 1.5, 2.0], size=gp.n).tolist()
+            else:
+                cost = (1.0 + rng.random(gp.n)).tolist()
+            picks = rng.permutation(gp.n).tolist()
+            targets = []
+            for _ in range(2 + case % 5):
+                size = 1 + int(rng.integers(0, 3))
+                targets.append(set(picks[:size]))
+                del picks[:size]
+            for q in set().union(*targets):
+                free[q] = False
+            if case % 10 == 9:
+                for q in targets[0]:
+                    for nb in adj[q]:
+                        free[nb] = False
+
+            root, fields = _best_root(targets, adj, free, cost)
+            ref_root, ref_fields = best_root_reference(targets, adj, free, cost)
+            assert root == ref_root
+            if root < 0:
+                walled += 1
+                continue
+            assert [f[root] for f in fields] == [f[root] for f in ref_fields]
+            score = root_scores(ref_fields, free, cost)
+            tied += int(np.count_nonzero(score == score[root])) > 1
+        assert tied >= 5
+        assert walled >= 12
 
 
 class TestCliqueEmbedding:
