@@ -23,7 +23,6 @@ import random
 import sys
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -46,7 +45,7 @@ from .embedding import (
     unembed,  # the per-read form of logical_sampleset; perfbench's tracer counts its calls here
 )
 from .graphs import Graph, WeightedGraph, instance_to_json, parse_instance
-from .qubo import mwis_to_qubo, repairer, scale_to_unit
+from .qubo import mwis_to_qubo, scale_to_unit
 
 __all__ = [
     "DwmwisInstance",
@@ -123,11 +122,6 @@ class DwmwisInstance:
         weighted, assignments = parse_instance(text)
         vectors = tuple(assignments) if assignments else (weighted.weights,)
         return cls(graph=weighted.graph, assignments=vectors, name=name)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "DwmwisInstance":
-        path = Path(path)
-        return cls.from_json(path.read_text(), name=path.stem)
 
     def to_json(self) -> str:
         base = WeightedGraph(self.graph, self.assignments[0])
@@ -261,7 +255,8 @@ def logical_sampleset(
     """Count the annealer's reads that reach the optimum in logical space.
     Per read this is ``unembed`` (majority vote, then repair), and the read
     hits when the weight of its repaired selection is ``optimal_value`` up to
-    rounding. Reads that vote alike share one repair."""
+    rounding. Reads that vote alike share one repair, and the distinct votes
+    are repaired together, one array operation per edge and per vertex."""
     lengths = np.array([len(chain) for chain in emb.chains])
     chain_qubits = np.array([q for chain in emb.chains for q in chain], dtype=np.intp)
     if not np.isin(chain_qubits, reads.qubits).all():
@@ -279,18 +274,34 @@ def logical_sampleset(
     else:
         distinct, counts = np.unique(keys, axis=0, return_counts=True)
     packed = np.ascontiguousarray(distinct).view(np.uint8).reshape(len(counts), -1)
-    rows = np.unpackbits(packed, axis=1, count=n, bitorder="little")
-    fix = repairer(weighted)
+    # repair every distinct vote at once, one vertex per row of ``chosen``, with
+    # repair's edge order, clearing rule (the lighter endpoint, the higher
+    # index on equal weights) and greedy (weight, index) fill order
+    chosen = np.unpackbits(packed, axis=1, count=n, bitorder="little").T.astype(bool)
+    w = weighted.weights
+    for u, v in weighted.graph.sorted_edges():
+        lose, keep = (u, v) if w[u] < w[v] else (v, u)
+        chosen[lose] &= ~chosen[keep]
+    adj = weighted.graph.adjacency()
+    for v in sorted(range(n), key=lambda i: (w[i], i)):
+        chosen[v] |= ~chosen[list(adj[v])].any(axis=0)
     # two selections of the same exact weight differ by at most the rounding
     # of their n weights plus that of each sum; a tolerance in ulps of the
     # optimum scales with the weights, where an absolute one would count every
     # read as a hit once the optimum falls below it
     threshold = optimal_value - (n + 1) * math.ulp(optimal_value)
+    # screen: the products of positive weights with 0/1 entries are exact, and
+    # their sum in any order errs from the exact sum S by at most n/2 * eps * S;
+    # fsum(S) >= threshold gives S >= threshold * (1 - eps/2), so a row that
+    # fsum counts has a dot product above threshold * (1 - (n + 2)/2 * eps),
+    # the subtraction's rounding included; the margin is four times that
+    margin = 2 * (n + 2) * sys.float_info.epsilon * abs(threshold)
+    screened = np.flatnonzero(np.array(w) @ chosen >= threshold - margin)
     # fsum rounds the exact sum once, in any order: this is selection_weight
     hits = sum(
-        count
-        for row, count in zip(rows.tolist(), counts.tolist())
-        if math.fsum(itertools.compress(weighted.weights, fix(row))) >= threshold
+        int(counts[i])
+        for i in screened.tolist()
+        if math.fsum(itertools.compress(w, chosen[:, i].tolist())) >= threshold
     )
     return SampleSet(hits, len(ones))
 

@@ -201,12 +201,12 @@ def verify_embedding(gl: Graph, gp: Graph, emb: Embedding) -> EmbeddingCheck:
 def _dijkstra_to_chain(
     chain: set[int],
     adj: list[list[int]],
-    free: list[bool],
     cost: list[float],
     goals: set[int],
 ) -> tuple[list[float], list[int]]:
     """Cheapest free-qubit routes from ``goals`` to ``chain``.
 
+    ``cost`` is infinite at every occupied qubit, which no route enters.
     ``dist[q]`` is the total cost of free qubits on the best path from q to a
     qubit adjacent to the chain, q itself included; ``parent`` points one step
     along that path (-1 at the chain-adjacent end). The search stops once the
@@ -220,7 +220,7 @@ def _dijkstra_to_chain(
     heap: list[tuple[float, int]] = []
     for c in chain:
         for q in adj[c]:
-            if free[q] and cost[q] < dist[q]:
+            if cost[q] < dist[q]:
                 dist[q] = cost[q]
                 heapq.heappush(heap, (cost[q], q))
     bound = math.inf
@@ -234,37 +234,57 @@ def _dijkstra_to_chain(
         if q in goals:
             bound = d
         for nb in adj[q]:
-            if free[nb]:
-                nd = d + cost[nb]
-                if nd < dist[nb]:
-                    dist[nb] = nd
-                    parent[nb] = q
-                    push(heap, (nd, nb))
+            nd = d + cost[nb]
+            if nd < dist[nb]:
+                dist[nb] = nd
+                parent[nb] = q
+                push(heap, (nd, nb))
     return dist, parent
 
 
 def _best_root(
     targets: list[set[int]],
     adj: list[list[int]],
-    free: list[bool],
     cost: list[float],
 ) -> tuple[int, list[list[float]]]:
     """The free qubit of least summed route cost to all ``targets``.
 
-    The score of q is ``dist_0[q] + ... + dist_{T-1}[q] - (T-1) * cost[q]``,
-    where ``dist_t[q]`` is the cost of the cheapest free path from q to a
-    qubit next to target t, q included; the least ``(score, qubit)`` wins.
-    The T searches share one heap and stop once the smallest distance left in
-    it exceeds the best score found: every ``dist_t >= cost`` makes each
-    score at least each of its terms, so no unsettled qubit can still tie the
-    best. Returns ``(root, fields)`` with ``fields[t]`` the distances of
-    search t, final at the root; ``root`` is -1 when no free qubit reaches
-    every target.
+    ``cost`` is infinite at every occupied qubit. The score of q is
+    ``dist_0[q] + ... + dist_{T-1}[q] - (T-1) * cost[q]``, where ``dist_t[q]``
+    is the cost of the cheapest free path from q to a qubit next to target t,
+    q included; the least ``(score, qubit)`` wins. The T searches share one
+    heap, and a qubit is scored once all T have settled it. Returns
+    ``(root, fields)`` with ``fields[t]`` the distances of search t, final at
+    the root; ``root`` is -1 when no free qubit reaches every target.
+
+    The loop stops at a popped distance ``d`` once no qubit that is not yet
+    scored can still score at most ``limit = best * (1 + 1e-9)``; the margin
+    only absorbs the rounding of the sums. Each search t has settled every
+    distance below d, and its other distances end at d or above, so a qubit x
+    settled by k searches scores at least ``LB(x) = known[x] + (T-k) * d -
+    (T-1) * cost[x]``, with ``known[x]`` the sum of its settled distances
+    (this is ``sum_t min(fields[t][x], d) - (T-1) * cost[x]``), which never
+    falls as d grows:
+
+    * every ``dist_t >= cost``, so a score is at least each of its terms, and
+      ``d > limit`` stops the loop (the only test for T = 2, where the bounds
+      below are no tighter);
+    * a qubit that no search has settled has ``LB >= T*d - (T-1)*c_max``, with
+      ``c_max`` the largest finite cost;
+    * the qubits that some searches have settled are rescanned once d passes
+      that bound (recomputed with each new best), and again whenever d
+      passes the radius at which the last rescan's survivors would exceed
+      ``limit``; those whose ``LB`` already exceeds it are dropped for good,
+      and the loop stops when none is left.
+
+    A qubit that ties the best score is therefore scored before the loop
+    stops, and ties resolve to the lowest index as in a full search.
     """
     n, size = len(adj), len(targets)
-    cost = [c if f else math.inf for c, f in zip(cost, free)]
     fields = [[math.inf] * n for _ in targets]
     settled = [0] * n
+    known = [0.0] * n  # sum of each qubit's settled distances
+    touched: list[int] = []  # qubits settled by some search, rescanned to stop
     heap: list[tuple[float, int, int]] = []
     for t, chain in enumerate(targets):
         dist = fields[t]
@@ -275,23 +295,50 @@ def _best_root(
                     heap.append((cost[q], t, q))
     heapq.heapify(heap)
     best, root, limit = math.inf, -1, math.inf
+    check, c_max = math.inf, math.inf  # ``check``: the pop above which a stop is tested
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         d, t, q = pop(heap)
-        if d > limit:
-            break
+        if d > check:
+            if d > limit:
+                break
+            survivors, radius = [], d
+            for x in touched:
+                unknown = size - settled[x]
+                if not unknown:
+                    continue
+                slack = limit + (size - 1) * cost[x] - known[x]
+                if unknown * d > slack:
+                    continue  # LB(x) > limit at this pop and every later one
+                survivors.append(x)
+                if slack > unknown * radius:
+                    radius = slack / unknown
+            if not survivors:
+                break
+            touched = survivors
+            check = min(limit, radius)
         dist = fields[t]
         if d > dist[q]:
             continue
-        settled[q] += 1
-        if settled[q] == size:
+        k = settled[q] + 1
+        settled[q] = k
+        known[q] += d
+        if k == 1:
+            touched.append(q)
+        elif k == size:
             score = 0.0
             for field in fields:
                 score += field[q]
             score -= (size - 1) * cost[q]
             if score < best or (score == best and q < root):
-                # the margin only absorbs the rounding of the score's sum
                 best, root, limit = score, q, score * (1.0 + 1e-9)
+                check = limit
+                if size > 2:
+                    if c_max == math.inf:
+                        c_max = max(filter(math.isfinite, cost))
+                    # rescan once every qubit that no search has settled
+                    # exceeds the new limit
+                    check = min(limit, (limit + (size - 1) * c_max) / size)
         for nb in adj[q]:
             nd = d + cost[nb]
             if nd < dist[nb]:
@@ -308,30 +355,45 @@ def _walk(parent: list[int], start: int) -> list[int]:
 
 
 class _Workspace:
-    """Mutable state for one embedding attempt."""
+    """Mutable state for one embedding attempt, kept as Python lists that the
+    searches index directly: ``free`` marks unoccupied qubits, ``used_deg``
+    counts each qubit's occupied neighbours, and ``cost`` holds each free
+    qubit's congestion-weighted cost and ``inf`` for an occupied one.
+    ``occupy`` and ``release`` update ``cost`` wherever ``free`` or
+    ``used_deg`` changes."""
 
-    def __init__(self, gp_adj: list[list[int]], n_phys: int, jitter: np.ndarray):
+    def __init__(self, gp_adj: list[list[int]], jitter: np.ndarray):
+        n = len(gp_adj)
         self.adj = gp_adj
-        self.free = np.ones(n_phys, dtype=bool)
-        self.used_deg = np.zeros(n_phys, dtype=np.int64)
-        self.deg = np.array([max(len(a), 1) for a in gp_adj], dtype=np.float64)
-        self.jitter = jitter
+        self.free = [True] * n
+        self.used_deg = [0] * n
+        self.deg = [float(max(len(a), 1)) for a in gp_adj]
+        self.jitter = jitter.tolist()
+        self.cost = [self._cost(q) for q in range(n)]
 
-    def cost(self) -> np.ndarray:
+    def _cost(self, q: int) -> float:
         # congestion-weighted vertex cost: crowded regions are more expensive
-        return 1.0 + 0.5 * (self.used_deg / self.deg) + 0.05 * self.jitter
+        return 1.0 + 0.5 * (self.used_deg[q] / self.deg[q]) + 0.05 * self.jitter[q]
 
     def occupy(self, qubits: Iterable[int]) -> None:
+        free, used_deg, cost = self.free, self.used_deg, self.cost
         for q in qubits:
-            self.free[q] = False
+            free[q] = False
+            cost[q] = math.inf
             for nb in self.adj[q]:
-                self.used_deg[nb] += 1
+                used_deg[nb] += 1
+                if free[nb]:
+                    cost[nb] = self._cost(nb)
 
     def release(self, qubits: Iterable[int]) -> None:
+        free, used_deg, cost = self.free, self.used_deg, self.cost
         for q in qubits:
-            self.free[q] = True
+            free[q] = True
+            cost[q] = self._cost(q)
             for nb in self.adj[q]:
-                self.used_deg[nb] -= 1
+                used_deg[nb] -= 1
+                if free[nb]:
+                    cost[nb] = self._cost(nb)
 
 
 def _route_vertex(
@@ -344,13 +406,13 @@ def _route_vertex(
     The root is the free qubit whose summed route costs to all targets, its
     own cost counted once, are least, lowest index on ties (Cai, Macready &
     Roy, arXiv:1406.2741). ``_best_root`` finds it exactly with searches that
-    stop once no unreached qubit can match the best score. The chain then
+    stop once no unscored qubit can match the best score. The chain then
     routes to each target in turn, nearest first, through currently free
     qubits. When ``donate`` is set, the far half of each route is handed to
     the target's chain (the vertex-model growth that keeps high-degree hubs
     reachable); otherwise the whole route joins the new chain.
     """
-    cost = ws.cost()
+    cost = ws.cost
     if len(targets) == 1:
         # a lone target's least route cost is that of its cheapest free neighbour
         frontier = [(cost[q], q) for q in _free_frontier(ws, targets[0])]
@@ -359,7 +421,7 @@ def _route_vertex(
         root = min(frontier)[1]
         ws.occupy([root])
         return {root}, [set()]
-    root, fields = _best_root(targets, ws.adj, ws.free.tolist(), cost.tolist())
+    root, fields = _best_root(targets, ws.adj, cost)
     if root < 0:
         return None
 
@@ -378,9 +440,7 @@ def _route_vertex(
         if any(nb in target for q in chain for nb in ws.adj[q]):
             continue  # already adjacent, nothing to route
         goals = _free_frontier(ws, chain)
-        dist, parent = _dijkstra_to_chain(
-            target, ws.adj, ws.free.tolist(), ws.cost().tolist(), goals
-        )
+        dist, parent = _dijkstra_to_chain(target, ws.adj, cost, goals)
         reached = [(dist[q], q) for q in goals if dist[q] < math.inf]
         if not reached:
             rollback()
@@ -502,7 +562,7 @@ def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> 
         if gl.n > gp.n:
             break
         rng = np.random.default_rng((seed, attempt))
-        ws = _Workspace(adj, gp.n, jitter=rng.random(gp.n))
+        ws = _Workspace(adj, jitter=rng.random(gp.n))
         chains = _grow_attempt(gl, ws, rng)
         if chains is None:
             continue

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,12 +83,18 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def adjacency(self) -> list[set[int]]:
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """Neighbour set of every vertex, built on the first call and shared
+        by every later one."""
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> tuple[frozenset[int], ...]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        return adj
+        return tuple(map(frozenset, adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:

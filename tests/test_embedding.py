@@ -24,7 +24,7 @@ from dwmwis import (
     unembed,
     verify_embedding,
 )
-from dwmwis.embedding import _best_root, _dijkstra_to_chain, _walk
+from dwmwis.embedding import _best_root, _dijkstra_to_chain, _walk, _Workspace
 from oracles import (
     best_root_reference,
     decode,
@@ -178,6 +178,36 @@ class TestEmbedderPinned:
         assert (_chains_digest(result), result.restarts) == (digest, 8)
 
 
+class TestWorkspace:
+    @pytest.mark.parametrize("k", [4, 12])
+    def test_kept_costs_equal_the_array_formula(self, k):
+        # random occupy/release runs; the kept list must equal the congestion
+        # cost recomputed from scratch, bit for bit
+        rng = np.random.default_rng(4700 + k)
+        gp = chimera(k)
+        adj = [sorted(s) for s in gp.adjacency()]
+        jitter = rng.random(gp.n)
+        ws = _Workspace(adj, jitter=jitter)
+        deg = np.array([max(len(a), 1) for a in adj], dtype=np.float64)
+        occupied: set[int] = set()
+        for step in range(60):
+            if occupied and rng.random() < 0.4:
+                batch = rng.choice(sorted(occupied), size=min(len(occupied), 5), replace=False)
+                ws.release(batch.tolist())
+                occupied.difference_update(batch.tolist())
+            else:
+                free_now = [q for q in range(gp.n) if q not in occupied]
+                batch = rng.choice(free_now, size=int(rng.integers(1, 8)), replace=False)
+                ws.occupy(batch.tolist())
+                occupied.update(batch.tolist())
+            free = np.array([q not in occupied for q in range(gp.n)])
+            used_deg = np.array([sum(nb in occupied for nb in a) for a in adj], dtype=np.int64)
+            want = np.where(free, 1.0 + 0.5 * (used_deg / deg) + 0.05 * jitter, math.inf)
+            assert ws.free == free.tolist()
+            assert ws.used_deg == used_deg.tolist()
+            assert ws.cost == want.tolist(), f"step {step}"
+
+
 class TestRoutingSearch:
     def test_early_stop_picks_the_full_search_route(self):
         # odd cases draw costs from {1, 1.5, 2}, so that equal route costs,
@@ -199,7 +229,8 @@ class TestRoutingSearch:
             goals = {q for c in chain for q in adj[c] if free[q]}
 
             full_dist, full_parent = flood_reference(target, adj, free, cost)
-            dist, parent = _dijkstra_to_chain(target, adj, free, cost, goals)
+            masked = [c if f else math.inf for c, f in zip(cost, free)]
+            dist, parent = _dijkstra_to_chain(target, adj, masked, goals)
             reached = sorted((full_dist[q], q) for q in goals if full_dist[q] < math.inf)
             early = [(dist[q], q) for q in goals if dist[q] < math.inf]
             if not reached:
@@ -237,7 +268,8 @@ class TestRoutingSearch:
                     for nb in adj[q]:
                         free[nb] = False
 
-            root, fields = _best_root(targets, adj, free, cost)
+            masked = [c if f else math.inf for c, f in zip(cost, free)]
+            root, fields = _best_root(targets, adj, masked)
             ref_root, ref_fields = best_root_reference(targets, adj, free, cost)
             assert root == ref_root
             if root < 0:
@@ -248,6 +280,68 @@ class TestRoutingSearch:
             tied += int(np.count_nonzero(score == score[root])) > 1
         assert tied >= 5
         assert walled >= 12
+
+
+    def test_lower_bound_stop_on_spread_targets(self):
+        # 3-6 one-qubit targets in distinct blocks of chimera(6) and chimera(8):
+        # the lower-bound stop leaves distances that a search stopped at
+        # d > best would have settled; odd quarters draw costs from {1, 1.5, 2}
+        early = 0
+        for case in range(40):
+            rng = np.random.default_rng(4500 + case)
+            k = 6 if case % 2 else 8
+            gp = chimera(k)
+            adj = [sorted(s) for s in gp.adjacency()]
+            free = (rng.random(gp.n) < 0.9).tolist()
+            if case % 4 >= 2:
+                cost = rng.choice([1.0, 1.5, 2.0], size=gp.n).tolist()
+            else:
+                cost = (1.0 + rng.random(gp.n)).tolist()
+            blocks = rng.permutation(k * k)[: 3 + case % 4]
+            targets = [{8 * int(b) + int(rng.integers(0, 8))} for b in blocks]
+            for (q,) in targets:
+                free[q] = False
+
+            masked = [c if f else math.inf for c, f in zip(cost, free)]
+            root, fields = _best_root(targets, adj, masked)
+            ref_root, ref_fields = best_root_reference(targets, adj, free, cost)
+            assert root == ref_root
+            assert [f[root] for f in fields] == [f[root] for f in ref_fields]
+            best = root_scores(ref_fields, free, cost)[root]
+            early += any(
+                f[x] != r[x]
+                for f, r in zip(fields, ref_fields)
+                for x in range(gp.n)
+                if r[x] < 0.9 * best
+            )
+        assert early >= 30
+
+
+    def test_near_tied_scores_keep_the_flood_root(self):
+        # decimal costs make sums of equal value round apart by an ulp, so that
+        # a qubit's lower bound can round above a score it ties; the stop's
+        # 1e-9 margin must still score it
+        near = 0
+        for case in range(1500):
+            rng = np.random.default_rng(case)
+            gp = chimera(int(rng.integers(2, 5)))
+            adj = [sorted(s) for s in gp.adjacency()]
+            free = (rng.random(gp.n) < 0.85).tolist()
+            cost = rng.choice([1.1, 1.2, 1.3, 1.7, 1.9], size=gp.n).tolist()
+            targets = [{int(q)} for q in rng.permutation(gp.n)[: 3 + case % 4]]
+            for (q,) in targets:
+                free[q] = False
+
+            masked = [c if f else math.inf for c, f in zip(cost, free)]
+            root, fields = _best_root(targets, adj, masked)
+            ref_root, ref_fields = best_root_reference(targets, adj, free, cost)
+            assert root == ref_root, f"case {case}"
+            if root < 0:
+                continue
+            assert [f[root] for f in fields] == [f[root] for f in ref_fields]
+            score = root_scores(ref_fields, free, cost)
+            near += int(np.count_nonzero(np.abs(score - score[root]) <= 1e-12 * score[root])) > 1
+        assert near >= 100
 
 
 class TestCliqueEmbedding:

@@ -43,6 +43,17 @@ class TestGraphType:
         g = Graph.from_edges(3, [(2, 0), (0, 2), (1, 2)])
         assert g.edges == frozenset({(0, 2), (1, 2)})
 
+    def test_adjacency_is_built_once_and_frozen(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+        adj = g.adjacency()
+        assert adj is g.adjacency()
+        assert adj == (frozenset({1, 2}), frozenset({0, 2}), frozenset({0, 1}), frozenset())
+        assert all(type(nbrs) is frozenset for nbrs in adj)
+
+    def test_chimera_builds_no_adjacency(self):
+        # the chip's adjacency is derived on first use, not at construction
+        assert "_adjacency" not in vars(chimera(12))
+
     def test_independence_check(self, tree_graph):
         assert is_independent(tree_graph, {2, 4})
         assert not is_independent(tree_graph, {1, 2})
