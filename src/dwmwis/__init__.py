@@ -46,9 +46,7 @@ from .graphs import (
     Graph,
     GraphFormatError,
     WeightedGraph,
-    brute_force_mwis,
     chimera,
-    chimera_coords,
     chimera_index,
     generate_family,
     instance_to_json,
@@ -56,14 +54,6 @@ from .graphs import (
     parse_instance,
     selection_weight,
 )
-from .qubo import (
-    BitVector,
-    QuboMatrix,
-    auto_penalty,
-    energy,
-    mwis_to_qubo,
-    repair,
-    scale_to_unit,
-)
+from .qubo import QuboMatrix, auto_penalty, mwis_to_qubo, scale_to_unit
 
 __version__ = "0.1.0"

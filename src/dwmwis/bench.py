@@ -37,14 +37,8 @@ from .annealer import (
     sample,
 )
 from .bip import build_constraints, solve_bip
-from .embedding import (
-    EmbedResult,
-    Embedding,
-    embed_qubo,
-    heuristic_embed,
-    unembed,  # the per-read form of logical_sampleset; perfbench's tracer counts its calls here
-)
-from .graphs import Graph, WeightedGraph, instance_to_json, parse_instance
+from .embedding import EmbedResult, Embedding, embed_qubo, heuristic_embed, unembed
+from .graphs import Graph, WeightedGraph, parse_instance
 from .qubo import mwis_to_qubo, scale_to_unit
 
 __all__ = [
@@ -122,10 +116,6 @@ class DwmwisInstance:
         weighted, assignments = parse_instance(text)
         vectors = tuple(assignments) if assignments else (weighted.weights,)
         return cls(graph=weighted.graph, assignments=vectors, name=name)
-
-    def to_json(self) -> str:
-        base = WeightedGraph(self.graph, self.assignments[0])
-        return instance_to_json(base, self.assignments)
 
 
 def gen_weights(n: int, m: int, seed: int) -> tuple[tuple[float, ...], ...]:
@@ -252,39 +242,11 @@ def logical_sampleset(
     weighted: WeightedGraph,
     optimal_value: float,
 ) -> SampleSet:
-    """Count the annealer's reads that reach the optimum in logical space.
-    Per read this is ``unembed`` (majority vote, then repair), and the read
-    hits when the weight of its repaired selection is ``optimal_value`` up to
-    rounding. Reads that vote alike share one repair, and the distinct votes
-    are repaired together, one array operation per edge and per vertex."""
-    lengths = np.array([len(chain) for chain in emb.chains])
-    chain_qubits = np.array([q for chain in emb.chains for q in chain], dtype=np.intp)
-    if not np.isin(chain_qubits, reads.qubits).all():
-        raise ValueError("a chain qubit has no column in the reads")
-    chain_bits = reads.samples[:, np.searchsorted(reads.qubits, chain_qubits)]
-    ones = np.add.reduceat(chain_bits, np.cumsum(lengths) - lengths, axis=1, dtype=np.int32)
-    # majority vote per chain, exact ties falling to 0 as in unembed, packed
-    # into whole uint64 words: one key per read when n <= 64
-    n, words = len(lengths), -(-len(lengths) // 64)
-    votes = np.zeros((len(ones), 64 * words), dtype=np.uint8)
-    votes[:, :n] = 2 * ones > lengths
-    keys = np.packbits(votes, axis=1, bitorder="little").view(np.uint64)
-    if words == 1:
-        distinct, counts = np.unique(keys[:, 0], return_counts=True)
-    else:
-        distinct, counts = np.unique(keys, axis=0, return_counts=True)
-    packed = np.ascontiguousarray(distinct).view(np.uint8).reshape(len(counts), -1)
-    # repair every distinct vote at once, one vertex per row of ``chosen``, with
-    # repair's edge order, clearing rule (the lighter endpoint, the higher
-    # index on equal weights) and greedy (weight, index) fill order
-    chosen = np.unpackbits(packed, axis=1, count=n, bitorder="little").T.astype(bool)
-    w = weighted.weights
-    for u, v in weighted.graph.sorted_edges():
-        lose, keep = (u, v) if w[u] < w[v] else (v, u)
-        chosen[lose] &= ~chosen[keep]
-    adj = weighted.graph.adjacency()
-    for v in sorted(range(n), key=lambda i: (w[i], i)):
-        chosen[v] |= ~chosen[list(adj[v])].any(axis=0)
+    """Count the annealer's reads that reach the optimum in logical space: a
+    read hits when the weight of its selection under ``unembed`` is
+    ``optimal_value`` up to rounding. Reads that vote alike are scored once."""
+    chosen, counts = unembed(reads, emb, weighted)
+    n, w = len(chosen), weighted.weights
     # two selections of the same exact weight differ by at most the rounding
     # of their n weights plus that of each sum; a tolerance in ulps of the
     # optimum scales with the weights, where an absolute one would count every
@@ -303,7 +265,7 @@ def logical_sampleset(
         for i in screened.tolist()
         if math.fsum(itertools.compress(w, chosen[:, i].tolist())) >= threshold
     )
-    return SampleSet(hits, len(ones))
+    return SampleSet(hits, len(reads.samples))
 
 
 def _solve_assignment(

@@ -120,7 +120,19 @@ def _read(path: Path) -> str:
     return path.read_text()
 
 
+def _check_output(path: Path, flag: str) -> None:
+    """Reject an output file before any work: writing it after the run fails
+    when it is a directory or when the nearest existing ancestor is not."""
+    if path.is_dir():
+        raise InputError(f"{flag} names a directory: {path}")
+    existing = next(p for p in path.parents if p.exists())
+    if not existing.is_dir():
+        raise InputError(f"{flag}: {existing} is a file, not a directory")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.out is not None:
+        _check_output(args.out, "--out")
     spec = FamilySpec(args.family, tuple(args.params))
     graph = generate_family(spec)
     assignments = gen_weights(graph.n, args.m, args.seed)
@@ -128,8 +140,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.out is None:
         print(text)
     else:
-        if args.out.is_dir():
-            raise InputError(f"--out names a directory: {args.out}")
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(text + "\n")
         print(f"wrote {spec.label()} instance with m={args.m} to {args.out}")
@@ -158,12 +168,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     gp = chimera(args.chimera_k)
     tm = _timing(args.timing_profile)
     out = args.out
-    # the reports are written after the whole run, so unusable paths are rejected now
-    existing = next(p for p in (out, *out.parents) if p.exists())
-    if not existing.is_dir():
-        raise InputError(f"--out: {existing} is a file, not a directory")
-    if args.save_embedding is not None and args.save_embedding.is_dir():
-        raise InputError(f"--save-embedding names a directory: {args.save_embedding}")
+    for name in ("assignments.csv", "summary.json"):
+        _check_output(out / name, "--out")
+    if args.save_embedding is not None:
+        _check_output(args.save_embedding, "--save-embedding")
     if args.graph is not None:
         inst = DwmwisInstance.from_json(_read(args.graph), name=args.graph.stem)
     else:

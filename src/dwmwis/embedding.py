@@ -14,10 +14,12 @@ nothing and a disagreeing pair costs +M.
 Splitting is done with exact-residual parts: all but one part of a split
 value carry at most 27 mantissa bits and the final part absorbs the exact
 remainder, so the parts sum to the logical value as exact reals. Combined
-with the fsum-based energy evaluation this makes the physical energy of an
+with an fsum-based energy evaluation this makes the physical energy of an
 intact-chain state bit-identical to the logical energy whenever the logical
 coefficients are grid-representable (dyadic); for arbitrary doubles the
 agreement is still far below any tolerance used downstream.
+
+``unembed`` takes the annealer's reads back to logical independent sets.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .annealer import Reads
 from .graphs import Graph, WeightedGraph, chimera, chimera_index
-from .qubo import BitVector, QuboMatrix, repair
+from .qubo import QuboMatrix
 
 __all__ = [
     "Embedding",
@@ -362,14 +365,15 @@ class _Workspace:
     ``occupy`` and ``release`` update ``cost`` wherever ``free`` or
     ``used_deg`` changes."""
 
-    def __init__(self, gp_adj: list[list[int]], jitter: np.ndarray):
+    def __init__(self, gp_adj: list[list[int]], deg: list[float], jitter: np.ndarray):
         n = len(gp_adj)
         self.adj = gp_adj
         self.free = [True] * n
         self.used_deg = [0] * n
-        self.deg = [float(max(len(a), 1)) for a in gp_adj]
+        self.deg = deg
         self.jitter = jitter.tolist()
-        self.cost = [self._cost(q) for q in range(n)]
+        # ``_cost`` with no qubit occupied: 1.0 + 0.0 is exactly 1.0
+        self.cost = (1.0 + 0.05 * jitter).tolist()
 
     def _cost(self, q: int) -> float:
         # congestion-weighted vertex cost: crowded regions are more expensive
@@ -554,7 +558,8 @@ def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> 
         raise ValueError(f"seed must be >= 0, got {seed}")
     t0 = time.perf_counter()
     adj = [sorted(s) for s in gp.adjacency()]
-    best: list[set[int]] | None = None
+    deg = [float(max(len(a), 1)) for a in adj]
+    best: Embedding | None = None
     best_size = math.inf
     restarts = 0
     for attempt in range(max_tries):
@@ -562,7 +567,7 @@ def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> 
         if gl.n > gp.n:
             break
         rng = np.random.default_rng((seed, attempt))
-        ws = _Workspace(adj, jitter=rng.random(gp.n))
+        ws = _Workspace(adj, deg, jitter=rng.random(gp.n))
         chains = _grow_attempt(gl, ws, rng)
         if chains is None:
             continue
@@ -572,14 +577,11 @@ def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> 
             continue  # defensive: a broken attempt never escapes
         size = candidate.size()
         if size < best_size:
-            best, best_size = chains, size
+            best, best_size = candidate, size
         if best_size == gl.n:
             break  # unit chains everywhere, provably minimal
     seconds = time.perf_counter() - t0
-    if best is None:
-        return EmbedResult(embedding=None, seconds=seconds, restarts=restarts)
-    emb = Embedding(tuple(tuple(sorted(c)) for c in best), gp)
-    return EmbedResult(embedding=emb, seconds=seconds, restarts=restarts)
+    return EmbedResult(embedding=best, seconds=seconds, restarts=restarts)
 
 
 def clique_embedding(k: int) -> Embedding:
@@ -699,19 +701,46 @@ def embed_qubo(
 
 
 def unembed(
-    x_phys: Sequence[int],
+    reads: Reads,
     emb: Embedding,
     weighted: WeightedGraph,
-) -> BitVector:
-    """Resolve a physical sample to a feasible logical selection.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve the annealer's reads to independent sets of the logical graph.
 
-    Each logical bit is the majority vote over its chain (exact ties fall to
-    0); the vote is then repaired so the result always decodes to an
-    independent set.
+    Each logical bit is the majority vote over its chain, exact ties falling
+    to 0. The vote is then repaired: on every edge, in sorted order, whose
+    endpoints are both chosen, the lighter endpoint is cleared (the higher
+    index on equal weights), and then each vertex with no chosen neighbour is
+    added, in ascending ``(weight, index)`` order. Reads that vote alike share
+    one repair, and the distinct votes are repaired together, one array
+    operation per edge and per vertex. Returns ``(chosen, counts)``:
+    ``chosen[v, k]`` is vertex v of the repaired k-th distinct vote, and
+    ``counts[k]`` the number of reads that cast that vote.
     """
-    if len(x_phys) != emb.physical.n:
-        raise ValueError(f"physical vector length {len(x_phys)} != {emb.physical.n}")
-    votes = tuple(
-        1 if 2 * sum(x_phys[qb] for qb in chain) > len(chain) else 0 for chain in emb.chains
-    )
-    return repair(weighted, votes)
+    lengths = np.array([len(chain) for chain in emb.chains])
+    chain_qubits = np.array([q for chain in emb.chains for q in chain], dtype=np.intp)
+    if not np.isin(chain_qubits, reads.qubits).all():
+        raise ValueError("a chain qubit has no column in the reads")
+    chain_bits = reads.samples[:, np.searchsorted(reads.qubits, chain_qubits)]
+    ones = np.add.reduceat(chain_bits, np.cumsum(lengths) - lengths, axis=1, dtype=np.int32)
+    # the votes packed into whole uint64 words: one key per read when n <= 64
+    n, words = len(lengths), -(-len(lengths) // 64)
+    votes = np.zeros((len(ones), 64 * words), dtype=np.uint8)
+    votes[:, :n] = 2 * ones > lengths
+    keys = np.packbits(votes, axis=1, bitorder="little").view(np.uint64)
+    if words == 1:
+        distinct, counts = np.unique(keys[:, 0], return_counts=True)
+    else:
+        distinct, counts = np.unique(keys, axis=0, return_counts=True)
+    packed = np.ascontiguousarray(distinct).view(np.uint8).reshape(len(counts), -1)
+    chosen = np.unpackbits(packed, axis=1, count=n, bitorder="little").T.astype(bool)
+    w = weighted.weights
+    # clearing an endpoint never violates an edge, so one pass in edge order
+    # clears what rescanning from the first violated edge would
+    for u, v in weighted.graph.sorted_edges():
+        lose, keep = (u, v) if w[u] < w[v] else (v, u)
+        chosen[lose] &= ~chosen[keep]
+    adj = weighted.graph.adjacency()
+    for v in sorted(range(n), key=lambda i: (w[i], i)):
+        chosen[v] |= ~chosen[list(adj[v])].any(axis=0)
+    return chosen, counts

@@ -1,5 +1,7 @@
 """Logical graphs, named graph families, Chimera hardware graphs, and the
-exhaustive maximum-weight independent set oracle.
+instance document format. The exhaustive maximum-weight independent set
+oracle (``brute_force_mwis``) and ``chimera_coords``, the inverse of
+``chimera_index``, are test oracles and live in ``tests/oracles.py``.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -21,8 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-import numpy as np
-
 __all__ = [
     "Graph",
     "WeightedGraph",
@@ -32,16 +32,11 @@ __all__ = [
     "generate_family",
     "chimera",
     "chimera_index",
-    "chimera_coords",
     "parse_graph",
     "parse_instance",
     "instance_to_json",
-    "brute_force_mwis",
     "selection_weight",
 ]
-
-BRUTE_FORCE_LIMIT = 26
-_CHUNK_BITS = 20
 
 
 class GraphFormatError(ValueError):
@@ -253,14 +248,6 @@ def chimera_index(k: int, row: int, col: int, side: int, unit: int) -> int:
     return 8 * (k * row + col) + 4 * side + unit
 
 
-def chimera_coords(k: int, index: int) -> tuple[int, int, int, int]:
-    """Inverse of :func:`chimera_index`."""
-    block, rem = divmod(index, 8)
-    side, unit = divmod(rem, 4)
-    row, col = divmod(block, k)
-    return row, col, side, unit
-
-
 def chimera(k: int) -> Graph:
     """The Chimera graph: a k x k grid of K_{4,4} blocks with 8*k^2 qubits.
 
@@ -401,58 +388,3 @@ def instance_to_json(
     if assignments is not None:
         doc["weight_assignments"] = [list(vec) for vec in assignments]
     return json.dumps(doc, indent=1)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive oracle
-# ---------------------------------------------------------------------------
-
-
-def brute_force_mwis(weighted: WeightedGraph) -> tuple[frozenset[int], float]:
-    """Exhaustive maximum-weight independent set over all 2^n subsets.
-
-    Among co-optimal sets the one with the lexicographically smallest
-    characteristic vector ``(x_0, ..., x_{n-1})`` wins, which keeps the oracle
-    deterministic. Guarded to n <= 26; intended as the ground truth for tests
-    and small benchmark references, not as a solver.
-    """
-    g = weighted.graph
-    n = g.n
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_LIMIT}, got {n}")
-    if n == 0:
-        return frozenset(), 0.0
-
-    w = np.asarray(weighted.weights, dtype=np.float64)
-    edges = g.sorted_edges()
-    # key weights for the lexicographic tie-break: x_0 is most significant
-    lex = 1 << (n - 1 - np.arange(n, dtype=np.int64))
-
-    best_weight = -math.inf
-    best_key = None
-    best_set: frozenset[int] = frozenset()
-
-    total = 1 << n
-    step = 1 << min(n, _CHUNK_BITS)
-    shifts = np.arange(n, dtype=np.int64)
-    for start in range(0, total, step):
-        masks = np.arange(start, min(start + step, total), dtype=np.int64)
-        bits = ((masks[:, None] >> shifts) & 1).astype(bool)
-        independent = np.ones(len(masks), dtype=bool)
-        for u, v in edges:
-            independent &= ~(bits[:, u] & bits[:, v])
-        if not independent.any():
-            continue
-        sums = bits @ w
-        sums[~independent] = -np.inf
-        # screen generously, then settle near-ties with exact canonical sums
-        floor = max(float(sums.max()), best_weight) - 1e-9
-        for idx in np.flatnonzero(sums >= floor):
-            vertices = np.flatnonzero(bits[idx])
-            weight = selection_weight(weighted.weights, vertices.tolist())
-            key = int(lex[vertices].sum())
-            if weight > best_weight or (weight == best_weight and key < best_key):
-                best_weight = weight
-                best_key = key
-                best_set = frozenset(int(v) for v in vertices)
-    return best_set, best_weight

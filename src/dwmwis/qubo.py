@@ -1,11 +1,10 @@
-"""Quadratic unconstrained binary optimisation: objective, the weighted
-independent-set reduction, constructive repair, and hardware-range
-rescaling.
+"""Quadratic unconstrained binary optimisation: the coefficient map, the
+weighted independent-set reduction, and hardware-range rescaling.
 
 The objective is ``f(x) = sum_{i <= j} x_i Q_{ij} x_j`` over bits ``x_i`` with
-an upper-triangular coefficient map ``Q``. Energies are evaluated with
-``math.fsum`` so that two entry sets with the same exact real sum always
-produce bit-identical floats; the embedding layer leans on this.
+an upper-triangular coefficient map ``Q``. No pipeline evaluates it; the
+fsum-exact ``energy`` that tests check the reduction and the embedding
+against is in ``tests/oracles.py``.
 
 Only the binary (0/1) formulation is implemented. The equivalent spin (+/-1)
 form differs by an affine change of variables and is out of scope here.
@@ -15,22 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .graphs import WeightedGraph
 
 __all__ = [
     "QuboMatrix",
-    "BitVector",
-    "energy",
     "mwis_to_qubo",
     "auto_penalty",
-    "repair",
-    "repairer",
     "scale_to_unit",
 ]
-
-BitVector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -60,13 +53,6 @@ class QuboMatrix:
 
     def max_abs_entry(self) -> float:
         return max(abs(v) for v in self.entries.values()) if self.entries else 0.0
-
-
-def energy(q: QuboMatrix, x: Sequence[int]) -> float:
-    """Objective value ``sum_{i <= j} x_i Q_{ij} x_j`` (diagonal counted once)."""
-    if len(x) != q.n:
-        raise ValueError(f"bit vector length {len(x)} != dimension {q.n}")
-    return math.fsum(v for (i, j), v in q.entries.items() if x[i] and x[j])
 
 
 def auto_penalty(weights: Sequence[float]) -> float:
@@ -101,47 +87,6 @@ def mwis_to_qubo(weighted: WeightedGraph, penalty: float | str = "auto") -> Qubo
     for u, v in weighted.graph.sorted_edges():
         entries[(u, v)] = s
     return QuboMatrix(n=weighted.n, entries=entries)
-
-
-def repair(weighted: WeightedGraph, x: Sequence[int]) -> BitVector:
-    """Constructive repair: make the selection independent, then greedily grow it.
-
-    While some edge has both endpoints selected, the lighter endpoint is
-    cleared (equal weights keep the lower index). Afterwards every vertex
-    whose addition preserves independence is added, scanned in ascending
-    (weight, index) order. The objective never increases along the way.
-    """
-    return repairer(weighted)(x)
-
-
-def repairer(weighted: WeightedGraph) -> Callable[[Sequence[int]], BitVector]:
-    """``repair`` on one weighted graph, for many vectors: the edge list, the
-    adjacency and the greedy scan order are built once."""
-    n, w = weighted.n, weighted.weights
-    adj = weighted.graph.adjacency()
-    edges = weighted.graph.sorted_edges()
-    order = sorted(range(n), key=lambda i: (w[i], i))
-
-    def fix(x: Sequence[int]) -> BitVector:
-        if len(x) != n:
-            raise ValueError(f"bit vector length {len(x)} != vertex count {n}")
-        chosen = {i for i, bit in enumerate(x) if bit}
-        # clearing an endpoint never violates an edge, so one pass in edge
-        # order clears what rescanning from the first violated edge would
-        for u, v in edges:
-            if u in chosen and v in chosen:
-                if w[u] < w[v]:
-                    chosen.discard(u)
-                elif w[v] < w[u]:
-                    chosen.discard(v)
-                else:
-                    chosen.discard(max(u, v))
-        for v in order:
-            if v not in chosen and not (adj[v] & chosen):
-                chosen.add(v)
-        return tuple(1 if i in chosen else 0 for i in range(n))
-
-    return fix
 
 
 def scale_to_unit(q: QuboMatrix) -> tuple[QuboMatrix, float]:

@@ -1,14 +1,19 @@
-"""Independent reference implementations the tests check the library against.
+"""Independent reference implementations the tests check the library against,
+and the oracles the package does not carry: ``energy``, ``brute_force_mwis``,
+``chimera_coords``, and ``unembed_reference`` with ``repair_reference``, the
+per-read form of ``embedding.unembed``'s rule.
 
 Nothing here shares code paths with the package: minima come from full
 enumeration, independence checks walk the edge list directly, and weights are
 re-summed with fsum so comparisons against the library are bit-exact. The
 exact optima of cycles and trees are computed in integer hundredths by linear
-dynamic programmes. Two oracles are exceptions. ``embed_qubo_reference``
-rebuilds the chain structure on every call, and shares ``verify_embedding``,
-the weight split and the automatic chain strength with the library.
+dynamic programmes. Three oracles are exceptions. ``brute_force_mwis`` settles
+near ties with ``selection_weight``. ``embed_qubo_reference`` rebuilds the
+chain structure on every call, and shares ``verify_embedding``, the weight
+split and the automatic chain strength with the library.
 ``solve_bip_reference`` is the branch and bound with the trivial bound, and
 shares the constraint set and the greedy start with the library.
+``unembed_read`` is no oracle: it runs the package's ``unembed`` on one read.
 """
 
 from __future__ import annotations
@@ -24,14 +29,116 @@ from dwmwis import (
     Embedding,
     Graph,
     QuboMatrix,
+    Reads,
     WeightedGraph,
-    energy,
+    selection_weight,
+    unembed,
     verify_embedding,
 )
 from dwmwis.bip import _greedy_start
 from dwmwis.embedding import _auto_strength, _split_parts
 
 ENUMERATION_LIMIT = 20
+BRUTE_FORCE_LIMIT = 26
+_CHUNK_BITS = 20
+
+
+def energy(q: QuboMatrix, x: Sequence[int]) -> float:
+    """``sum_{i <= j} x_i Q_{ij} x_j`` by fsum: entry sets of one exact sum
+    give bit-identical floats."""
+    if len(x) != q.n:
+        raise ValueError(f"bit vector length {len(x)} != dimension {q.n}")
+    return math.fsum(v for (i, j), v in q.entries.items() if x[i] and x[j])
+
+
+def brute_force_mwis(weighted: WeightedGraph) -> tuple[frozenset[int], float]:
+    """Exhaustive maximum-weight independent set over all 2^n subsets.
+
+    Among co-optimal sets the one with the lexicographically smallest
+    characteristic vector ``(x_0, ..., x_{n-1})`` wins, which keeps the oracle
+    deterministic. Guarded to n <= 26.
+    """
+    g = weighted.graph
+    n = g.n
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_LIMIT}, got {n}")
+    if n == 0:
+        return frozenset(), 0.0
+
+    w = np.asarray(weighted.weights, dtype=np.float64)
+    edges = g.sorted_edges()
+    # key weights for the lexicographic tie-break: x_0 is most significant
+    lex = 1 << (n - 1 - np.arange(n, dtype=np.int64))
+
+    best_weight = -math.inf
+    best_key = None
+    best_set: frozenset[int] = frozenset()
+
+    total = 1 << n
+    step = 1 << min(n, _CHUNK_BITS)
+    shifts = np.arange(n, dtype=np.int64)
+    for start in range(0, total, step):
+        masks = np.arange(start, min(start + step, total), dtype=np.int64)
+        bits = ((masks[:, None] >> shifts) & 1).astype(bool)
+        independent = np.ones(len(masks), dtype=bool)
+        for u, v in edges:
+            independent &= ~(bits[:, u] & bits[:, v])
+        if not independent.any():
+            continue
+        sums = bits @ w
+        sums[~independent] = -np.inf
+        # screen generously, then settle near-ties with exact canonical sums
+        floor = max(float(sums.max()), best_weight) - 1e-9
+        for idx in np.flatnonzero(sums >= floor):
+            vertices = np.flatnonzero(bits[idx])
+            weight = selection_weight(weighted.weights, vertices.tolist())
+            key = int(lex[vertices].sum())
+            if weight > best_weight or (weight == best_weight and key < best_key):
+                best_weight = weight
+                best_key = key
+                best_set = frozenset(int(v) for v in vertices)
+    return best_set, best_weight
+
+
+def chimera_coords(k: int, index: int) -> tuple[int, int, int, int]:
+    """Inverse of ``chimera_index``: the (row, col, side, unit) of a qubit."""
+    block, rem = divmod(index, 8)
+    side, unit = divmod(rem, 4)
+    row, col = divmod(block, k)
+    return row, col, side, unit
+
+
+def repair_reference(weighted: WeightedGraph, x: Sequence[int]) -> tuple[int, ...]:
+    """Make one selection independent, then grow it, with sets: on each edge in
+    sorted order whose endpoints are both chosen the lighter endpoint is
+    cleared (the higher index on equal weights), then every vertex with no
+    chosen neighbour is added in ascending (weight, index) order."""
+    w, adj = weighted.weights, weighted.graph.adjacency()
+    chosen = {i for i, bit in enumerate(x) if bit}
+    for u, v in weighted.graph.sorted_edges():
+        if u in chosen and v in chosen:
+            chosen.discard(u if w[u] < w[v] else v if w[v] < w[u] else max(u, v))
+    for v in sorted(range(weighted.n), key=lambda i: (w[i], i)):
+        if not (adj[v] & chosen):
+            chosen.add(v)
+    return tuple(1 if i in chosen else 0 for i in range(weighted.n))
+
+
+def unembed_reference(
+    x_phys: Sequence[int], emb: Embedding, weighted: WeightedGraph
+) -> tuple[int, ...]:
+    """One physical read over all qubits to a logical selection: the majority
+    vote of each chain, exact ties falling to 0, then ``repair_reference``."""
+    votes = [1 if 2 * sum(x_phys[q] for q in chain) > len(chain) else 0 for chain in emb.chains]
+    return repair_reference(weighted, votes)
+
+
+def unembed_read(x_phys: Sequence[int], emb: Embedding, weighted: WeightedGraph) -> tuple[int, ...]:
+    """The package's ``unembed`` on a single read whose bit i is qubit i."""
+    reads = Reads(np.array([x_phys], dtype=np.int8), np.arange(len(x_phys)))
+    chosen, counts = unembed(reads, emb, weighted)
+    assert counts.tolist() == [1]
+    return tuple(chosen[:, 0].astype(int).tolist())
 
 
 def exhaustive_qubo_minimum(q: QuboMatrix) -> tuple[float, list[tuple[int, ...]]]:

@@ -21,13 +21,11 @@ from dwmwis import (
     DwmwisInstance,
     FamilySpec,
     WeightedGraph,
-    brute_force_mwis,
     build_constraints,
     chimera,
     cli,
     clique_embedding,
     embed_qubo,
-    energy,
     gen_weights,
     generate_family,
     heuristic_embed,
@@ -40,8 +38,10 @@ from dwmwis import (
     verify_embedding,
 )
 from oracles import (
+    brute_force_mwis,
     decode,
     dyadic_weights,
+    energy,
     exhaustive_qubo_minimum,
     grid_weights,
     is_independent,

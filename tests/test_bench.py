@@ -25,10 +25,10 @@ from dwmwis import (
     chimera,
     embed_qubo,
     embedding,
-    energy,
     gen_weights,
     generate_family,
     heuristic_embed,
+    instance_to_json,
     logical_sampleset,
     mwis_to_qubo,
     ratios,
@@ -41,10 +41,16 @@ from dwmwis import (
     scale_to_unit,
     selection_weight,
     timing_profile,
-    unembed,
 )
 from dwmwis.bench import SOLVED, UNSOLVED
-from oracles import grid_weights, physical_rows, random_graph
+from oracles import (
+    brute_force_mwis,
+    energy,
+    grid_weights,
+    physical_rows,
+    random_graph,
+    unembed_reference,
+)
 
 
 def outcome(index, status=SOLVED, s=0.5, k99=6.0, t_proc=0.03):
@@ -103,13 +109,12 @@ class TestGenWeights:
 class TestInstance:
     def test_json_roundtrip(self, tree_graph):
         inst = DwmwisInstance(tree_graph, gen_weights(5, 4, seed=1), name="tree")
-        back = DwmwisInstance.from_json(inst.to_json(), name="tree")
+        text = instance_to_json(inst.weighted(0), inst.assignments)
+        back = DwmwisInstance.from_json(text, name="tree")
         assert back.graph == inst.graph
         assert back.assignments == inst.assignments
 
     def test_plain_graph_document_gives_single_assignment(self, tree_weighted):
-        from dwmwis import instance_to_json
-
         inst = DwmwisInstance.from_json(instance_to_json(tree_weighted))
         assert inst.m == 1
         assert inst.assignments[0] == tree_weighted.weights
@@ -269,8 +274,6 @@ class TestPipelines:
 
     def test_success_reference_matches_oracle(self, small_run, tree_graph):
         inst, _, _, record = small_run
-        from dwmwis import WeightedGraph, brute_force_mwis
-
         for o in record.outcomes:
             _, oracle_value = brute_force_mwis(
                 WeightedGraph(tree_graph, inst.assignments[o.index])
@@ -297,7 +300,7 @@ class TestLogicalSampleset:
             reads = Reads(physical, np.arange(chip2.n))
 
             rows = [tuple(row) for row in reads.samples.tolist()]
-            values = [-energy(q, unembed(row, emb, weighted)) for row in rows]
+            values = [-energy(q, unembed_reference(row, emb, weighted)) for row in rows]
             for v in sorted(set(values)):
                 want = SampleSet(sum(value >= v - 1e-6 for value in values), len(rows))
                 assert logical_sampleset(reads, emb, weighted, v) == want, f"seed {seed}, value {v}"

@@ -11,13 +11,13 @@ from dwmwis import (
     FamilySpec,
     Graph,
     WeightedGraph,
-    brute_force_mwis,
     build_constraints,
     gen_weights,
     generate_family,
     solve_bip,
 )
 from oracles import (
+    brute_force_mwis,
     cycle_optimum,
     forest_optimum,
     grid_weights,

@@ -230,7 +230,12 @@ MALFORMED = {
     "save-embedding-is-a-directory": (
         ["bench", "--graph", "{instance}", "--save-embedding", "{dir}"], None
     ),
+    "save-embedding-under-a-file": (
+        ["bench", "--graph", "{instance}", "--out", "{dir}/run", "--save-embedding", "{file}/e.json"],
+        None,
+    ),
     "gen-out-is-a-directory": (["gen", "Cycle", "5", "--out", "{dir}"], None),
+    "gen-out-under-a-file": (["gen", "Cycle", "5", "--out", "{file}/x.json"], None),
     "chain-strength-inf": (
         ["bench", "--family", "Complete", "5", "--chimera-k", "2", "--chain-strength", "inf"],
         None,
@@ -313,11 +318,13 @@ def test_malformed_input_exits_4_before_any_work(
     if document is not None:
         doc.write_text(document)
     fill = {"instance": tree_instance, "dir": empty_dir, "file": plain_file, "doc": doc}
+    before = sorted(tmp_path.rglob("*"))
     assert cli.main([a.format(**fill) for a in args]) == cli.EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.err.startswith("error: input-error:") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert plain_file.read_text() == "x\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_help_exits_0(capsys):

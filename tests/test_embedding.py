@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,14 +13,16 @@ from dwmwis import (
     FamilySpec,
     Graph,
     QuboMatrix,
+    Reads,
+    SampleSet,
     WeightedGraph,
-    brute_force_mwis,
     chimera,
+    chimera_index,
     clique_embedding,
     embed_qubo,
-    energy,
     generate_family,
     heuristic_embed,
+    logical_sampleset,
     mwis_to_qubo,
     unembed,
     verify_embedding,
@@ -27,15 +30,20 @@ from dwmwis import (
 from dwmwis.embedding import _best_root, _dijkstra_to_chain, _walk, _Workspace
 from oracles import (
     best_root_reference,
+    brute_force_mwis,
     decode,
     dyadic_weights,
     embed_qubo_reference,
+    energy,
     exhaustive_qubo_minimum,
     flood_reference,
+    grid_weights,
     is_independent,
     lift_bits,
     random_graph,
     root_scores,
+    unembed_read,
+    unembed_reference,
 )
 
 
@@ -187,8 +195,9 @@ class TestWorkspace:
         gp = chimera(k)
         adj = [sorted(s) for s in gp.adjacency()]
         jitter = rng.random(gp.n)
-        ws = _Workspace(adj, jitter=jitter)
         deg = np.array([max(len(a), 1) for a in adj], dtype=np.float64)
+        ws = _Workspace(adj, deg.tolist(), jitter=jitter)
+        assert ws.cost == (1.0 + 0.5 * (0 / deg) + 0.05 * jitter).tolist()
         occupied: set[int] = set()
         for step in range(60):
             if occupied and rng.random() < 0.4:
@@ -387,7 +396,7 @@ class TestEmbedQubo:
         physical = embed_qubo(q, tree_embedding)
         minimum, minimizers = exhaustive_qubo_minimum(physical)
         assert minimum == -9.0
-        logical = {unembed(x, tree_embedding, tree_weighted) for x in minimizers}
+        logical = {unembed_read(x, tree_embedding, tree_weighted) for x in minimizers}
         assert logical == {(0, 0, 1, 0, 1)}
 
     def test_rejects_invalid_embedding(self, chip1):
@@ -491,7 +500,7 @@ class TestUnembed:
         emb = Embedding(chains=((0, 4, 1),), physical=chip1)
         x = [0] * 8
         x[0], x[4], x[1] = 1, 1, 0
-        assert unembed(tuple(x), emb, weighted)[0] == 1
+        assert unembed_read(x, emb, weighted)[0] == 1
 
     def test_tie_breaks_to_zero_then_repair_may_restore(self, chip1):
         g = Graph.from_edges(1, [])
@@ -500,13 +509,13 @@ class TestUnembed:
         x = [0] * 8
         x[0] = 1  # split chain: one vote each
         # the tied vote reads 0, but the repair step re-adds the free vertex
-        assert unembed(tuple(x), emb, weighted) == (1,)
+        assert unembed_read(x, emb, weighted) == (1,)
 
     def test_intact_optimum_unembeds_to_logical_optimum(
         self, tree_weighted, chip1, tree_embedding
     ):
         lifted = lift_bits(tree_embedding, (0, 0, 1, 0, 1))
-        assert unembed(lifted, tree_embedding, tree_weighted) == (0, 0, 1, 0, 1)
+        assert unembed_read(lifted, tree_embedding, tree_weighted) == (0, 0, 1, 0, 1)
 
     def test_result_always_independent(self, chip2):
         rng = np.random.default_rng(123)
@@ -515,8 +524,49 @@ class TestUnembed:
         emb = heuristic_embed(g, chip2, seed=1, max_tries=8).embedding
         for _ in range(50):
             x = tuple(int(b) for b in rng.integers(0, 2, size=chip2.n))
-            logical = unembed(x, emb, weighted)
+            logical = unembed_read(x, emb, weighted)
             assert is_independent(g, decode(logical))
+
+
+    # cell layouts on chimera(4) as (side, unit) chains: five chains of three,
+    # two and one qubits, or eight one-qubit chains
+    CELL_LAYOUTS = (
+        (((0, 0), (1, 0), (0, 1)), ((0, 2), (1, 1)), ((0, 3),), ((1, 2),), ((1, 3),)),
+        tuple(((side, unit),) for side in (0, 1) for unit in range(4)),
+    )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_two_word_votes_match_the_per_read_reference(self, seed):
+        # 80-128 logical vertices: each vote packs into two uint64 words
+        rng = np.random.default_rng(3100 + seed)
+        gp = chimera(4)
+        chains = [
+            tuple(sorted(chimera_index(4, row, col, side, unit) for side, unit in chain))
+            for row in range(4)
+            for col in range(4)
+            for chain in self.CELL_LAYOUTS[int(rng.integers(2))]
+        ]
+        owner = {q: v for v, chain in enumerate(chains) for q in chain}
+        touching = {(owner[p], owner[r]) for p, r in gp.sorted_edges() if owner[p] != owner[r]}
+        g = Graph.from_edges(len(chains), [e for e in sorted(touching) if rng.random() < 0.5])
+        weighted = WeightedGraph(g, grid_weights(g.n, rng))
+        emb = Embedding(tuple(chains), gp)
+        assert g.n > 64 and verify_embedding(g, gp, emb)
+        # 400 reads drawn from 150 rows, so that many reads repeat
+        pool = rng.integers(0, 2, size=(150, gp.n)).astype(np.int8)
+        rows = pool[rng.integers(0, len(pool), size=400)]
+        reads = Reads(rows, np.arange(gp.n))
+
+        want = Counter(unembed_reference(row, emb, weighted) for row in rows.tolist())
+        chosen, counts = unembed(reads, emb, weighted)
+        got: Counter = Counter()
+        for k, count in enumerate(counts.tolist()):
+            got[tuple(chosen[:, k].astype(int).tolist())] += count
+        assert got == want and counts.max() > 1
+        values = {x: math.fsum(w for w, bit in zip(weighted.weights, x) if bit) for x in want}
+        for v in sorted(set(values.values())):
+            hits = sum(n for x, n in want.items() if values[x] >= v - 1e-6)
+            assert logical_sampleset(reads, emb, weighted, v) == SampleSet(hits, len(rows))
 
 
 class TestSerialization:

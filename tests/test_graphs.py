@@ -11,9 +11,7 @@ from dwmwis import (
     Graph,
     GraphFormatError,
     WeightedGraph,
-    brute_force_mwis,
     chimera,
-    chimera_coords,
     chimera_index,
     generate_family,
     instance_to_json,
@@ -23,6 +21,8 @@ from dwmwis import (
 from conftest import TREE_EDGES, TREE_WEIGHTS
 from oracles import (
     bipartite_by_enumeration,
+    brute_force_mwis,
+    chimera_coords,
     grid_weights,
     is_independent,
     random_graph,

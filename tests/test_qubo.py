@@ -6,20 +6,28 @@ import numpy as np
 import pytest
 
 from dwmwis import (
+    Embedding,
     FamilySpec,
     Graph,
     QuboMatrix,
     WeightedGraph,
     auto_penalty,
-    brute_force_mwis,
-    energy,
+    chimera,
     generate_family,
     mwis_to_qubo,
-    repair,
     scale_to_unit,
 )
-from dwmwis.qubo import repairer
-from oracles import decode, exhaustive_qubo_minimum, grid_weights, is_independent, random_graph
+from oracles import (
+    brute_force_mwis,
+    decode,
+    energy,
+    exhaustive_qubo_minimum,
+    grid_weights,
+    is_independent,
+    random_graph,
+    repair_reference,
+    unembed_read,
+)
 
 # the worked five-vertex reduction with penalty 12
 WORKED_MATRIX = {
@@ -110,6 +118,13 @@ class TestDecode:
         assert decode((1, 1, 1)) == frozenset({0, 1, 2})
 
 
+def repair(weighted, x):
+    """The package's repair of the selection x: ``unembed`` on one-qubit
+    chains, qubit v holding vertex v, so that each vote is the bit itself."""
+    emb = Embedding(tuple((v,) for v in range(weighted.n)), chimera(2))
+    return unembed_read(x, emb, weighted)
+
+
 class TestRepair:
     def test_worked_trace(self, tree_weighted, tree_graph):
         # edge (1, 2) is violated; 3 < 8 clears vertex 1, greedy adds 4
@@ -144,10 +159,10 @@ class TestRepair:
         rng = np.random.default_rng(950 + trial)
         g = random_graph(int(rng.integers(2, 13)), float(rng.uniform(0.2, 0.8)), rng)
         weighted = WeightedGraph(g, tuple(float(v) for v in rng.integers(1, 4, size=g.n)))
-        fix = repairer(weighted)
         for _ in range(30):
             x = tuple(int(b) for b in rng.integers(0, 2, size=g.n))
-            assert fix(x) == repair(weighted, x) == _rescanning_repair(weighted, x)
+            want = _rescanning_repair(weighted, x)
+            assert repair(weighted, x) == repair_reference(weighted, x) == want
 
 
 def _rescanning_repair(weighted, x):
