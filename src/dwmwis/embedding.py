@@ -719,12 +719,16 @@ def unembed(
     """
     lengths = np.array([len(chain) for chain in emb.chains])
     chain_qubits = np.array([q for chain in emb.chains for q in chain], dtype=np.intp)
-    if not np.isin(chain_qubits, reads.qubits).all():
+    columns = np.searchsorted(reads.qubits, chain_qubits)
+    if (columns == len(reads.qubits)).any() or (reads.qubits[columns] != chain_qubits).any():
         raise ValueError("a chain qubit has no column in the reads")
-    chain_bits = reads.samples[:, np.searchsorted(reads.qubits, chain_qubits)]
-    ones = np.add.reduceat(chain_bits, np.cumsum(lengths) - lengths, axis=1, dtype=np.int32)
-    # the votes packed into whole uint64 words: one key per read when n <= 64
     n, words = len(lengths), -(-len(lengths) // 64)
+    # each chain's count of ones as a product with its 0/1 membership column:
+    # float32 sums of 0/1 terms are exact below 2**24
+    member = np.zeros((len(reads.qubits), n), dtype=np.float32)
+    member[columns, np.repeat(np.arange(n), lengths)] = 1.0
+    ones = reads.samples.astype(np.float32) @ member
+    # the votes packed into whole uint64 words: one key per read when n <= 64
     votes = np.zeros((len(ones), 64 * words), dtype=np.uint8)
     votes[:, :n] = 2 * ones > lengths
     keys = np.packbits(votes, axis=1, bitorder="little").view(np.uint64)

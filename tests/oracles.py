@@ -13,6 +13,8 @@ chain structure on every call, and shares ``verify_embedding``, the weight
 split and the automatic chain strength with the library.
 ``solve_bip_reference`` is the branch and bound with the trivial bound, and
 shares the constraint set and the greedy start with the library.
+``cover_bound_reference`` spells out the solver's clique-cover rule on sets,
+and takes the elimination order from the constraint set.
 ``unembed_read`` is no oracle: it runs the package's ``unembed`` on one read.
 """
 
@@ -242,6 +244,35 @@ def solve_bip_reference(
 
     dfs(0, 0, 0.0, (1 << n) - 1, math.fsum(w))
     return best_value, frozenset(v for v in range(n) if (best_mask >> v) & 1)
+
+
+def cover_bound_reference(
+    cs: ConstraintSet, weights: Sequence[float], avail: set[int]
+) -> float:
+    """The fractional clique cover of the vertices in ``avail``: in
+    elimination order, each vertex still in play adds its residual c, takes
+    its neighbours still in play, heaviest first (ties to the lower index),
+    into its clique when they are adjacent to every member so far, and lowers
+    each member's residual by c; a member at zero or below leaves play. The
+    float operations are the solver's, in its order."""
+    nbrs = [{u for u in range(cs.n) if (mask >> u) & 1} for mask in cs.neighbor_masks]
+    residual = [float(x) for x in weights]
+    in_play = set(avail)
+    bound = 0.0
+    for r in cs.elimination:
+        if r not in in_play:
+            continue
+        c = residual[r]
+        bound += c
+        in_play.remove(r)
+        members: list[int] = []
+        for u in sorted(nbrs[r] & in_play, key=lambda i: (-weights[i], i)):
+            if all(u in nbrs[k] for k in members):
+                members.append(u)
+                residual[u] -= c
+                if residual[u] <= 0.0:
+                    in_play.remove(u)
+    return bound
 
 
 def hundredths(weights: Sequence[float]) -> list[int]:

@@ -329,6 +329,16 @@ class TestLogicalSampleset:
         with pytest.raises(ValueError, match="no column"):
             logical_sampleset(dropped, tree_embedding, tree_weighted, 9.0)
 
+    @pytest.mark.parametrize("keep", [slice(None, -1), slice(0, 0)], ids=["last", "all"])
+    def test_chain_qubit_past_the_columns_rejected(
+        self, tree_weighted, tree_embedding, chip1, keep
+    ):
+        q = mwis_to_qubo(tree_weighted, 12.0)
+        reads = sample(embed_qubo(q, tree_embedding), chip1, SamplerConfig(num_samples=4))
+        dropped = Reads(reads.samples[:, keep], reads.qubits[keep])
+        with pytest.raises(ValueError, match="no column"):
+            logical_sampleset(dropped, tree_embedding, tree_weighted, 9.0)
+
 
 class TestReports:
     def test_csv_shape_and_determinism(self, tree_graph, chip1):

@@ -16,8 +16,10 @@ from dwmwis import (
     generate_family,
     solve_bip,
 )
+from dwmwis.bip import _Cover
 from oracles import (
     brute_force_mwis,
+    cover_bound_reference,
     cycle_optimum,
     forest_optimum,
     grid_weights,
@@ -51,6 +53,29 @@ class TestBuildConstraints:
         degrees = [len(nbrs) for nbrs in tree_graph.adjacency()]
         assert all(
             degrees[cs.order[i]] >= degrees[cs.order[i + 1]] for i in range(len(cs.order) - 1)
+        )
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_elimination_takes_least_remaining_degree_lowest_index(self, trial):
+        rng = np.random.default_rng(6100 + trial)
+        g = random_graph(int(rng.integers(1, 40)), float(rng.uniform(0.0, 0.6)), rng)
+        adj = g.adjacency()
+        left = set(range(g.n))
+        expected = []
+        while left:
+            v = min(left, key=lambda u: (len(adj[u] & left), u))
+            expected.append(v)
+            left.remove(v)
+        assert build_constraints(g).elimination == tuple(expected)
+
+    def test_elimination_takes_a_forest_leaf_first(self):
+        rng = np.random.default_rng(61)
+        g = random_tree(150, rng)
+        position = {v: p for p, v in enumerate(build_constraints(g).elimination)}
+        # each vertex has at most one neighbour left when it is taken
+        assert all(
+            sum(position[u] > position[v] for u in nbrs) <= 1
+            for v, nbrs in enumerate(g.adjacency())
         )
 
 
@@ -143,6 +168,61 @@ class TestSolve:
         assert scaled_s <= 10 * max(plain_s, 1e-3)
 
 
+class TestCoverBound:
+    """The fractional clique cover at the root, over every vertex."""
+
+    @staticmethod
+    def root_bound(g, weights):
+        cs = build_constraints(g)
+        return _Cover(cs, weights).bound((1 << g.n) - 1, 0.0, math.inf)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_equals_the_optimum_on_a_forest(self, trial):
+        rng = np.random.default_rng(6200 + trial)
+        g = random_tree(int(rng.integers(1, 200)), rng)
+        if trial % 2:  # a forest: drop a few edges of the tree
+            edges = g.sorted_edges()
+            keep = rng.random(len(edges)) > 0.1
+            g = Graph.from_edges(g.n, [e for e, k in zip(edges, keep) if k])
+        weights = grid_weights(g.n, rng)
+        optimum = forest_optimum(g, hundredths(weights)) / 100
+        margin = 4 * (g.n + g.num_edges + 2) * math.ulp(math.fsum(weights))
+        assert abs(self.root_bound(g, weights) - optimum) <= margin
+
+    @pytest.mark.parametrize("trial", range(40))
+    def test_at_least_the_optimum(self, trial):
+        rng = np.random.default_rng(6300 + trial)
+        n = int(rng.integers(1, 19))
+        g = random_graph(n, float(rng.uniform(0.05, 0.9)), rng)
+        weights = grid_weights(n, rng)
+        _, optimum = brute_force_mwis(WeightedGraph(g, weights))
+        margin = 4 * (n + g.num_edges + 2) * math.ulp(math.fsum(weights))
+        assert self.root_bound(g, weights) >= optimum - margin
+
+    @pytest.mark.parametrize("trial", range(30))
+    def test_matches_the_set_reference(self, trial):
+        rng = np.random.default_rng(6400 + trial)
+        n = int(rng.integers(1, 40))
+        g = random_graph(n, float(rng.uniform(0.05, 0.9)), rng)
+        # weights of 0.01 and 0.02 on odd trials: equal weights exercise the index ties
+        top = 3 if trial % 2 else 100
+        weights = tuple(float(k) / 100 for k in rng.integers(1, top, size=n))
+        cs = build_constraints(g)
+        cover = _Cover(cs, weights)
+        for _ in range(5):
+            avail = {v for v in range(n) if rng.random() < 0.7}
+            mask = sum(1 << cover.position[v] for v in avail)
+            assert cover.bound(mask, 0.0, math.inf) == cover_bound_reference(cs, weights, avail)
+
+    def test_stops_once_past_the_threshold(self):
+        g = generate_family(FamilySpec("Cycle", (9,)))
+        cs = build_constraints(g)
+        cover = _Cover(cs, [1.0] * 9)
+        # the first root adds 1.0 and already exceeds a threshold of 0.5
+        assert cover.bound((1 << 9) - 1, 0.0, 0.5) == 1.0
+        assert cover.bound((1 << 9) - 1, 0.0, math.inf) >= 4.0
+
+
 def _check_optimal(g, weights, solution, optimum_hundredths):
     assert is_independent(g, solution.vertices)
     assert solution.value == math.fsum(weights[v] for v in sorted(solution.vertices))
@@ -207,6 +287,24 @@ class TestAgainstDynamicProgramme:
         weights = grid_weights(g.n, rng)
         solution = solve_bip(build_constraints(g), weights)
         _check_optimal(g, weights, solution, forest_optimum(g, hundredths(weights)))
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_random_tree_of_100_to_200(self, trial):
+        rng = np.random.default_rng(5300 + trial)
+        g = random_tree(int(rng.integers(100, 201)), rng)
+        weights = grid_weights(g.n, rng)
+        solution = solve_bip(build_constraints(g), weights)
+        _check_optimal(g, weights, solution, forest_optimum(g, hundredths(weights)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cycle_200_within_cpu_budget(self, seed):
+        g = generate_family(FamilySpec("Cycle", (200,)))
+        weights = gen_weights(200, 1, seed=seed)[0]
+        cs = build_constraints(g)
+        t0 = time.process_time()
+        solution = solve_bip(cs, weights)
+        assert time.process_time() - t0 < 2.0
+        _check_optimal(g, weights, solution, cycle_optimum(g, hundredths(weights)))
 
     def test_cycle_60_within_cpu_budget(self):
         g = generate_family(FamilySpec("Cycle", (60,)))

@@ -67,6 +67,19 @@ class TestBench:
         csv_lines = (out / "assignments.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 1 + 4
 
+    def test_long_cycle_finishes_and_writes_reports(self, tmp_path):
+        # the exact classical pass over a 200-vertex cycle once had no time bound
+        out = tmp_path / "cycle200"
+        code = run_cli(
+            "bench", "--family", "Cycle", 200, "--m", 2, "--chimera-k", 8,
+            "--samples", 50, "--sweeps", 20, "--timing-profile", "zero", "--out", out,
+        )
+        assert code in (cli.EXIT_OK, cli.EXIT_UNSOLVED)
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["n"], summary["m"]) == (200, 2)
+        assert summary["solved"] + summary["unsolved"] == 2
+        assert len((out / "assignments.csv").read_text().strip().splitlines()) == 1 + 2
+
     def test_zero_profile_gives_unit_hybrid_ratio(self, tree_instance, tmp_path):
         out = tmp_path / "zero"
         code = run_cli(
