@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import random
@@ -38,7 +37,7 @@ from .annealer import (
 )
 from .bip import build_constraints, solve_bip
 from .embedding import EmbedResult, Embedding, embed_qubo, heuristic_embed, unembed
-from .graphs import Graph, WeightedGraph, parse_instance
+from .graphs import Graph, WeightedGraph, parse_instance, selection_weight
 from .qubo import mwis_to_qubo, scale_to_unit
 
 __all__ = [
@@ -259,11 +258,10 @@ def logical_sampleset(
     # the subtraction's rounding included; the margin is four times that
     margin = 2 * (n + 2) * sys.float_info.epsilon * abs(threshold)
     screened = np.flatnonzero(np.array(w) @ chosen >= threshold - margin)
-    # fsum rounds the exact sum once, in any order: this is selection_weight
     hits = sum(
         int(counts[i])
         for i in screened.tolist()
-        if math.fsum(itertools.compress(w, chosen[:, i].tolist())) >= threshold
+        if selection_weight(w, np.flatnonzero(chosen[:, i]).tolist()) >= threshold
     )
     return SampleSet(hits, len(reads.samples))
 

@@ -12,6 +12,7 @@ weighted instance.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass
@@ -65,34 +66,23 @@ def build_constraints(g: Graph) -> ConstraintSet:
 
 def _degeneracy_order(adj: Sequence[frozenset[int]]) -> tuple[int, ...]:
     """Vertices by repeatedly taking one of least remaining degree, ties to
-    the lowest index, from a bucket queue: bucket d is the bitset of the
-    vertices of remaining degree d, so its lowest bit is the next vertex.
-    Taking a vertex moves each remaining neighbour down one bucket, so the
-    order costs n + m bucket moves, each a few operations on n-bit integers."""
-    n = len(adj)
+    the lowest index, from a heap of ``(remaining degree, vertex)`` entries:
+    taking a vertex pushes each remaining neighbour anew one degree lower,
+    and an entry whose degree is no longer current is skipped."""
     degree = [len(nbrs) for nbrs in adj]
-    buckets = [0] * (max(degree, default=0) + 1)
-    for v in range(n):
-        buckets[degree[v]] |= 1 << v
-    taken = [False] * n
+    heap = sorted(zip(degree, range(len(adj))))
+    taken = [False] * len(adj)
     out = []
-    d = 0
-    for _ in range(n):
-        while not buckets[d]:
-            d += 1
-        low = buckets[d] & -buckets[d]
-        buckets[d] ^= low
-        v = low.bit_length() - 1
+    while heap:
+        d, v = heapq.heappop(heap)
+        if taken[v] or d != degree[v]:
+            continue
         taken[v] = True
         out.append(v)
         for u in adj[v]:
             if not taken[u]:
-                k = degree[u]
-                degree[u] = k - 1
-                buckets[k] ^= 1 << u
-                buckets[k - 1] |= 1 << u
-                if k <= d:
-                    d = k - 1
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
     return tuple(out)
 
 

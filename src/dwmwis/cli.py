@@ -31,6 +31,7 @@ from .bench import (
 )
 from .embedding import Embedding, heuristic_embed, verify_embedding
 from .graphs import (
+    FAMILIES,
     FamilySpec,
     WeightedGraph,
     chimera,
@@ -79,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file for a named graph family")
-    gen.add_argument("family", help="Cycle | Star | Complete | CompleteBipartite | Grid | Hypercube | Petersen")
+    gen.add_argument("family", help=" | ".join(FAMILIES))
     gen.add_argument("params", nargs="*", type=int, help="family parameters")
     gen.add_argument("--m", type=_count, default=100, help="number of weight assignments")
     gen.add_argument("--seed", type=int, default=0)

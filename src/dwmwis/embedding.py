@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -270,8 +270,9 @@ def _best_root(
     falls as d grows:
 
     * every ``dist_t >= cost``, so a score is at least each of its terms, and
-      ``d > limit`` stops the loop (the only test for T = 2, where the bounds
-      below are no tighter);
+      ``d > limit`` stops the loop (the only test for T <= 2, where the
+      bounds below are no tighter; for T = 1 the root is the target's free
+      neighbour of least ``(cost, qubit)``);
     * a qubit that no search has settled has ``LB >= T*d - (T-1)*c_max``, with
       ``c_max`` the largest finite cost;
     * the qubits that some searches have settled are rescanned once d passes
@@ -328,7 +329,7 @@ def _best_root(
         known[q] += d
         if k == 1:
             touched.append(q)
-        elif k == size:
+        if k == size:
             score = 0.0
             for field in fields:
                 score += field[q]
@@ -417,14 +418,6 @@ def _route_vertex(
     reachable); otherwise the whole route joins the new chain.
     """
     cost = ws.cost
-    if len(targets) == 1:
-        # a lone target's least route cost is that of its cheapest free neighbour
-        frontier = [(cost[q], q) for q in _free_frontier(ws, targets[0])]
-        if not frontier:
-            return None
-        root = min(frontier)[1]
-        ws.occupy([root])
-        return {root}, [set()]
     root, fields = _best_root(targets, ws.adj, cost)
     if root < 0:
         return None
@@ -624,26 +617,14 @@ def _split_parts(value: float, count: int) -> list[float]:
     return [coarse] * (count - 1) + [rest]
 
 
-def _auto_strength(
-    q: QuboMatrix, emb: Embedding, inter: Mapping[tuple[int, int], Sequence[tuple[int, int]]]
-) -> float:
+def _auto_strength(q: QuboMatrix, load: Iterable[float]) -> float:
     """Chain strength that provably dominates any single chain qubit's load.
 
     Twice the worst per-qubit sum of absolute split weights plus the largest
     logical coefficient magnitude, rounded up to a power of two so penalty
     bookkeeping stays exact.
     """
-    load: dict[int, float] = {qb: 0.0 for chain in emb.chains for qb in chain}
-    diag = q.diagonal()
-    for v, chain in enumerate(emb.chains):
-        if v in diag:
-            for qb, part in zip(chain, _split_parts(diag[v], len(chain))):
-                load[qb] += abs(part)
-    for key, edges in inter.items():
-        for (p, r), part in zip(edges, _split_parts(q.entries[key], len(edges))):
-            load[p] += abs(part)
-            load[r] += abs(part)
-    raw = 2.0 * (max(load.values()) if load else 0.0) + q.max_abs_entry()
+    raw = 2.0 * max(load, default=0.0) + q.max_abs_entry()
     if raw <= 0.0:
         return 1.0
     return math.ldexp(1.0, math.ceil(math.log2(raw)))
@@ -658,9 +639,10 @@ def embed_qubo(
     across every physical edge between the two chains, and each intra-chain
     edge receives the disagreement penalty (+M, +M, -2M). M is
     ``chain_strength``, or when that is None the one ``_auto_strength``
-    derives from the matrix. With intact chains the physical energy of the
-    lifted state equals the logical energy. Only the couplings of ``q`` are
-    checked per call; ``Embedding.chain_edges`` checks the chains once.
+    derives from the qubit loads that the splitting pass sums. With intact
+    chains the physical energy of the lifted state equals the logical energy.
+    Only the couplings of ``q`` are checked per call; ``Embedding.chain_edges``
+    checks the chains once.
     """
     if q.n != emb.logical_n:
         raise ValueError(f"QUBO dimension {q.n} != embedded logical size {emb.logical_n}")
@@ -668,22 +650,27 @@ def embed_qubo(
     uncovered = sorted(key for key in q.entries if key[0] != key[1] and key not in pairs)
     if uncovered:
         raise ValueError(f"invalid embedding: no physical edge joins the chains of {uncovered[:3]}")
-    inter = {key: edges for key, edges in pairs.items() if key in q.entries}
-
-    strength = _auto_strength(q, emb, inter) if chain_strength is None else chain_strength
-    if not strength > 0.0:
-        raise ValueError(f"chain strength must be positive, got {strength}")
 
     diag: dict[int, float] = {}
     couplings: dict[tuple[int, int], float] = {}
+    load: dict[int, float] = {}  # each qubit's sum of absolute parts
     for v, chain in enumerate(emb.chains):
         value = q.entries.get((v, v))
         if value is not None:
             for qb, part in zip(chain, _split_parts(value, len(chain))):
-                diag[qb] = diag.get(qb, 0.0) + part
-    for key, edges in inter.items():
-        for (p, r), part in zip(edges, _split_parts(q.entries[key], len(edges))):
-            couplings[(p, r)] = part
+                diag[qb] = part
+                load[qb] = abs(part)
+    for key, edges in pairs.items():
+        value = q.entries.get(key)
+        if value is not None:
+            for (p, r), part in zip(edges, _split_parts(value, len(edges))):
+                couplings[(p, r)] = part
+                load[p] = load.get(p, 0.0) + abs(part)
+                load[r] = load.get(r, 0.0) + abs(part)
+
+    strength = _auto_strength(q, load.values()) if chain_strength is None else chain_strength
+    if not strength > 0.0:
+        raise ValueError(f"chain strength must be positive, got {strength}")
     for edges in intra:
         for p, r in edges:
             diag[p] = diag.get(p, 0.0) + strength

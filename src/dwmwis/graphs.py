@@ -17,11 +17,12 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "Graph",
@@ -136,45 +137,43 @@ def selection_weight(weights: Sequence[float], vertices: Iterable[int]) -> float
 # named families
 # ---------------------------------------------------------------------------
 
-FAMILIES = (
-    "Cycle",
-    "Star",
-    "Complete",
-    "CompleteBipartite",
-    "Grid",
-    "Hypercube",
-    "Petersen",
-)
+def _grid(rows: int, cols: int) -> Graph:
+    n = rows * cols
+    across = [(v, v + 1) for v in range(n) if (v + 1) % cols]
+    return Graph.from_edges(n, across + [(v, v + cols) for v in range(n - cols)])
 
-_FAMILY_ARITY = {
-    "Cycle": 1,
-    "Star": 1,
-    "Complete": 1,
-    "CompleteBipartite": 2,
-    "Grid": 2,
-    "Hypercube": 1,
-    "Petersen": 0,
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + spokes)
+
+
+# family -> ((parameter, least value), ...) and the builder that takes them.
+# Vertex labels: Cycle in ring order; Star's centre is vertex 0; the parts of
+# CompleteBipartite(n, m) are 0..n-1 and n..n+m-1; Grid is row-major;
+# Hypercube labels are the bit patterns of the coordinates; Petersen's outer
+# cycle is 0..4, its inner pentagram 5..9, and spoke i joins i to 5 + i.
+_FAMILY_TABLE: dict[str, tuple[tuple[tuple[str, int], ...], Callable[..., Graph]]] = {
+    "Cycle": ((("n", 3),), lambda n: Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])),
+    "Star": ((("leaves", 1),), lambda n: Graph.from_edges(n + 1, [(0, v + 1) for v in range(n)])),
+    "Complete": ((("n", 1),), lambda n: Graph.from_edges(n, itertools.combinations(range(n), 2))),
+    "CompleteBipartite": (
+        (("n", 1), ("m", 1)),
+        lambda a, b: Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)]),
+    ),
+    "Grid": ((("rows", 1), ("cols", 1)), _grid),
+    "Hypercube": (
+        (("dimension", 1),),
+        lambda d: Graph.from_edges(
+            1 << d, [(v, v ^ (1 << b)) for v in range(1 << d) for b in range(d)]
+        ),
+    ),
+    "Petersen": ((), _petersen),
 }
 
-
-def _check_family(family: str, params: tuple[int, ...]) -> None:
-    if family not in _FAMILY_ARITY:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    arity = _FAMILY_ARITY[family]
-    if len(params) != arity:
-        raise ValueError(f"{family} takes {arity} parameter(s), got {len(params)}")
-    if family == "Cycle" and params[0] < 3:
-        raise ValueError(f"Cycle requires n >= 3, got {params[0]}")
-    if family == "Star" and params[0] < 1:
-        raise ValueError(f"Star requires n >= 1 leaves, got {params[0]}")
-    if family == "Complete" and params[0] < 1:
-        raise ValueError(f"Complete requires n >= 1, got {params[0]}")
-    if family == "CompleteBipartite" and min(params) < 1:
-        raise ValueError(f"CompleteBipartite requires n, m >= 1, got {params}")
-    if family == "Grid" and min(params) < 1:
-        raise ValueError(f"Grid requires rows, cols >= 1, got {params}")
-    if family == "Hypercube" and params[0] < 1:
-        raise ValueError(f"Hypercube requires dimension >= 1, got {params[0]}")
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,16 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(int(p) for p in self.params))
-        _check_family(self.family, self.params)
+        if self.family not in _FAMILY_TABLE:
+            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        names = _FAMILY_TABLE[self.family][0]
+        if len(self.params) != len(names):
+            raise ValueError(
+                f"{self.family} takes {len(names)} parameter(s), got {len(self.params)}"
+            )
+        for (name, least), value in zip(names, self.params):
+            if value < least:
+                raise ValueError(f"{self.family} requires {name} >= {least}, got {value}")
 
     def label(self) -> str:
         if not self.params:
@@ -195,47 +203,8 @@ class FamilySpec:
 
 
 def generate_family(spec: FamilySpec) -> Graph:
-    """Construct the standard graph of the requested family.
-
-    Vertex labelling per family: Cycle vertices in ring order; Star centre is
-    vertex 0; CompleteBipartite parts are ``0..n-1`` and ``n..n+m-1``; Grid is
-    row-major; Hypercube labels are bit patterns of the coordinates.
-    """
-    family, params = spec.family, spec.params
-    if family == "Cycle":
-        n = params[0]
-        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    if family == "Star":
-        n = params[0]
-        return Graph.from_edges(n + 1, [(0, leaf) for leaf in range(1, n + 1)])
-    if family == "Complete":
-        n = params[0]
-        return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if family == "CompleteBipartite":
-        a, b = params
-        return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-    if family == "Grid":
-        rows, cols = params
-        edges = []
-        for r in range(rows):
-            for c in range(cols):
-                v = r * cols + c
-                if c + 1 < cols:
-                    edges.append((v, v + 1))
-                if r + 1 < rows:
-                    edges.append((v, v + cols))
-        return Graph.from_edges(rows * cols, edges)
-    if family == "Hypercube":
-        d = params[0]
-        n = 1 << d
-        edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)]
-        return Graph.from_edges(n, edges)
-    if family == "Petersen":
-        outer = [(i, (i + 1) % 5) for i in range(5)]
-        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        spokes = [(i, 5 + i) for i in range(5)]
-        return Graph.from_edges(10, outer + inner + spokes)
-    raise ValueError(f"unknown family {family!r}")  # unreachable, __post_init__ checks
+    """Construct the standard graph of the requested family."""
+    return _FAMILY_TABLE[spec.family][1](*spec.params)
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,6 @@ class QuboMatrix:
             if not math.isfinite(value):
                 raise ValueError(f"entry ({i},{j}) is not finite: {value}")
 
-    def diagonal(self) -> dict[int, float]:
-        return {i: v for (i, j), v in self.entries.items() if i == j}
-
     def max_abs_entry(self) -> float:
         return max(abs(v) for v in self.entries.values()) if self.entries else 0.0
 

@@ -38,7 +38,7 @@ from dwmwis import (
     verify_embedding,
 )
 from dwmwis.bip import _greedy_start
-from dwmwis.embedding import _auto_strength, _split_parts
+from dwmwis.embedding import _split_parts
 
 ENUMERATION_LIMIT = 20
 BRUTE_FORCE_LIMIT = 26
@@ -390,6 +390,26 @@ def lift_bits(emb: Embedding, x_logical: Sequence[int]) -> tuple[int, ...]:
     return tuple(bits)
 
 
+def chain_strength_reference(
+    q: QuboMatrix, emb: Embedding, inter: dict[tuple[int, int], list[tuple[int, int]]]
+) -> float:
+    """The automatic chain strength from a pass of its own: twice the largest
+    per-qubit sum of absolute split parts (diagonals in chain order, then the
+    couplings in ``inter`` order) plus the largest ``|Q|``, rounded up to a
+    power of two; 1.0 when that is zero."""
+    load = {qb: 0.0 for chain in emb.chains for qb in chain}
+    for v, chain in enumerate(emb.chains):
+        if (v, v) in q.entries:
+            for qb, part in zip(chain, _split_parts(q.entries[(v, v)], len(chain))):
+                load[qb] += abs(part)
+    for key, edges in inter.items():
+        for (p, r), part in zip(edges, _split_parts(q.entries[key], len(edges))):
+            load[p] += abs(part)
+            load[r] += abs(part)
+    raw = 2.0 * max(load.values(), default=0.0) + max(map(abs, q.entries.values()), default=0.0)
+    return 1.0 if raw <= 0.0 else 2.0 ** math.ceil(math.log2(raw))
+
+
 def embed_qubo_reference(
     q: QuboMatrix, emb: Embedding, gp: Graph, chain_strength: float | None
 ) -> QuboMatrix:
@@ -418,7 +438,9 @@ def embed_qubo_reference(
             if key in q.entries:
                 inter.setdefault(key, []).append((p, r))
 
-    strength = _auto_strength(q, emb, inter) if chain_strength is None else chain_strength
+    strength = (
+        chain_strength_reference(q, emb, inter) if chain_strength is None else chain_strength
+    )
     if not strength > 0.0:
         raise ValueError(f"chain strength must be positive, got {strength}")
 

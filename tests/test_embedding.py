@@ -352,6 +352,41 @@ class TestRoutingSearch:
             near += int(np.count_nonzero(np.abs(score - score[root]) <= 1e-12 * score[root])) > 1
         assert near >= 100
 
+    def test_lone_target_picks_the_flood_root(self):
+        # one target: the root is its cheapest free neighbour, lowest index on
+        # ties; every tenth case walls the target in, so that no root exists
+        tied = walled = 0
+        for case in range(60):
+            rng = np.random.default_rng(4700 + case)
+            gp = chimera(2 if case % 3 else 4)
+            adj = [sorted(s) for s in gp.adjacency()]
+            free = (rng.random(gp.n) < 0.8).tolist()
+            if case % 2:
+                cost = rng.choice([1.0, 1.5, 2.0], size=gp.n).tolist()
+            else:
+                cost = (1.0 + rng.random(gp.n)).tolist()
+            target = {int(q) for q in rng.permutation(gp.n)[: 1 + case % 3]}
+            for q in target:
+                free[q] = False
+            if case % 10 == 9:
+                for q in target:
+                    for nb in adj[q]:
+                        free[nb] = False
+
+            masked = [c if f else math.inf for c, f in zip(cost, free)]
+            root, fields = _best_root([target], adj, masked)
+            ref_root, ref_fields = best_root_reference([target], adj, free, cost)
+            assert root == ref_root
+            if root < 0:
+                walled += 1
+                continue
+            frontier = {nb for q in target for nb in adj[q] if free[nb]}
+            assert root == min((cost[q], q) for q in frontier)[1]
+            assert fields[0][root] == ref_fields[0][root] == cost[root]
+            tied += sum(cost[q] == cost[root] for q in frontier) > 1
+        assert tied >= 5
+        assert walled == 6
+
 
 class TestCliqueEmbedding:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -438,6 +473,15 @@ class TestEmbedQubo:
                 old = embed_qubo_reference(q, emb, gp, strength)
                 assert list(new.entries.items()) == list(old.entries.items())
                 assert new.n == old.n
+            # two-decimal weights are not dyadic: a qubit's load rounds as it
+            # sums, so the strength depends on the order of its terms
+            decimal_rng = np.random.default_rng(1000 + k + trial)
+            for _ in range(3):
+                q = mwis_to_qubo(WeightedGraph(g, grid_weights(g.n, decimal_rng)), "auto")
+                new = embed_qubo(q, emb, strength)
+                assert list(new.entries.items()) == list(
+                    embed_qubo_reference(q, emb, gp, strength).entries.items()
+                )
 
 
 class TestEnergyCorrespondence:

@@ -89,6 +89,30 @@ class TestFamilies:
         with pytest.raises(ValueError, match="n >= 3"):
             FamilySpec("Cycle", (2,))
 
+    @pytest.mark.parametrize(
+        "family,least",
+        [
+            ("Cycle", (3,)),
+            ("Star", (1,)),
+            ("Complete", (1,)),
+            ("CompleteBipartite", (1, 1)),
+            ("Grid", (1, 1)),
+            ("Hypercube", (1,)),
+            ("Petersen", ()),
+        ],
+    )
+    def test_arity_and_minimum_enforced(self, family, least):
+        assert generate_family(FamilySpec(family, least)).n >= 1
+        for i, value in enumerate(least):
+            below = least[:i] + (value - 1,) + least[i + 1 :]
+            with pytest.raises(ValueError, match=rf"^{family} requires \w+ >= {value}, got "):
+                FamilySpec(family, below)
+        arity = len(least)
+        for params in (least[:-1], least + (3,)):
+            if len(params) != arity:
+                with pytest.raises(ValueError, match=rf"^{family} takes {arity} parameter"):
+                    FamilySpec(family, params)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):
             FamilySpec("Moebius", (4,))
