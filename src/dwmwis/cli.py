@@ -218,7 +218,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     gp = chimera(args.chimera_k)
     try:
         emb = Embedding.from_json(_read(args.embedding), gp)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise InputError(f"embedding file: {exc}") from None
     check = verify_embedding(weighted.graph, gp, emb)
     for condition, label in (

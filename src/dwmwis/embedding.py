@@ -113,7 +113,11 @@ class Embedding:
             chain = raw[key]
             if not isinstance(chain, list) or not all(type(q) is int for q in chain):
                 raise ValueError(f"chain of logical vertex {v} must be a list of qubit indices")
-            chains.append(tuple(sorted(chain)))
+            chain = sorted(chain)
+            for q, nxt in zip(chain, chain[1:]):
+                if q == nxt:
+                    raise ValueError(f"chain of logical vertex {v} lists qubit {q} twice")
+            chains.append(tuple(chain))
         return cls(chains=tuple(chains), physical=physical)
 
 
@@ -201,21 +205,22 @@ def verify_embedding(gl: Graph, gp: Graph, emb: Embedding) -> EmbeddingCheck:
 # ---------------------------------------------------------------------------
 
 
-def _dijkstra_to_chain(
+def _cheapest_route(
     chain: set[int],
     adj: list[list[int]],
     cost: list[float],
     goals: set[int],
-) -> tuple[list[float], list[int]]:
-    """Cheapest free-qubit routes from ``goals`` to ``chain``.
+) -> list[int] | None:
+    """The cheapest free-qubit route from ``goals`` to ``chain``, or None when
+    no goal is reached.
 
-    ``cost`` is infinite at every occupied qubit, which no route enters.
-    ``dist[q]`` is the total cost of free qubits on the best path from q to a
-    qubit adjacent to the chain, q itself included; ``parent`` points one step
-    along that path (-1 at the chain-adjacent end). The search stops once the
-    popped distance exceeds that of the first goal popped: every goal of least
-    ``(dist, qubit)`` is then final, with its whole parent walk, and every
-    other goal's entry is larger or infinite.
+    ``cost`` is infinite at every occupied qubit, which no route enters, and at
+    least 1 at every free one. A route's cost sums its qubits, both ends
+    included; the route runs from the goal of least ``(cost, qubit)`` to a
+    qubit next to the chain. The search stops at the first goal it settles: a
+    goal's final distance d exceeds its predecessor's, which was settled
+    earlier, so the goal's ``(d, goal)`` entry is on the heap before any
+    larger entry pops, and the parent walk behind it is final.
     """
     n = len(adj)
     dist = [math.inf] * n
@@ -226,23 +231,23 @@ def _dijkstra_to_chain(
             if cost[q] < dist[q]:
                 dist[q] = cost[q]
                 heapq.heappush(heap, (cost[q], q))
-    bound = math.inf
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         d, q = pop(heap)
         if d > dist[q]:
             continue
-        if d > bound:
-            break
         if q in goals:
-            bound = d
+            route = [q]
+            while parent[route[-1]] != -1:
+                route.append(parent[route[-1]])
+            return route
         for nb in adj[q]:
             nd = d + cost[nb]
             if nd < dist[nb]:
                 dist[nb] = nd
                 parent[nb] = q
                 push(heap, (nd, nb))
-    return dist, parent
+    return None
 
 
 def _best_root(
@@ -351,27 +356,18 @@ def _best_root(
     return root, fields
 
 
-def _walk(parent: list[int], start: int) -> list[int]:
-    path = [start]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    return path
-
-
 class _Workspace:
     """Mutable state for one embedding attempt, kept as Python lists that the
-    searches index directly: ``free`` marks unoccupied qubits, ``used_deg``
-    counts each qubit's occupied neighbours, and ``cost`` holds each free
-    qubit's congestion-weighted cost and ``inf`` for an occupied one.
-    ``occupy`` and ``release`` update ``cost`` wherever ``free`` or
-    ``used_deg`` changes."""
+    searches index directly: ``used_deg`` counts each qubit's occupied
+    neighbours, and ``cost`` holds each free qubit's congestion-weighted cost
+    and ``inf`` for an occupied one, so a qubit is free exactly when its cost
+    is finite. ``occupy`` and ``release`` update ``cost`` wherever occupancy
+    or ``used_deg`` changes."""
 
-    def __init__(self, gp_adj: list[list[int]], deg: list[float], jitter: np.ndarray):
-        n = len(gp_adj)
+    def __init__(self, gp_adj: list[list[int]], jitter: np.ndarray):
         self.adj = gp_adj
-        self.free = [True] * n
-        self.used_deg = [0] * n
-        self.deg = deg
+        self.used_deg = [0] * len(gp_adj)
+        self.deg = [len(a) or 1 for a in gp_adj]
         self.jitter = jitter.tolist()
         # ``_cost`` with no qubit occupied: 1.0 + 0.0 is exactly 1.0
         self.cost = (1.0 + 0.05 * jitter).tolist()
@@ -381,23 +377,21 @@ class _Workspace:
         return 1.0 + 0.5 * (self.used_deg[q] / self.deg[q]) + 0.05 * self.jitter[q]
 
     def occupy(self, qubits: Iterable[int]) -> None:
-        free, used_deg, cost = self.free, self.used_deg, self.cost
+        used_deg, cost = self.used_deg, self.cost
         for q in qubits:
-            free[q] = False
             cost[q] = math.inf
             for nb in self.adj[q]:
                 used_deg[nb] += 1
-                if free[nb]:
+                if cost[nb] < math.inf:
                     cost[nb] = self._cost(nb)
 
     def release(self, qubits: Iterable[int]) -> None:
-        free, used_deg, cost = self.free, self.used_deg, self.cost
+        used_deg, cost = self.used_deg, self.cost
         for q in qubits:
-            free[q] = True
             cost[q] = self._cost(q)
             for nb in self.adj[q]:
                 used_deg[nb] -= 1
-                if free[nb]:
+                if cost[nb] < math.inf:
                     cost[nb] = self._cost(nb)
 
 
@@ -417,8 +411,7 @@ def _route_vertex(
     the target's chain (the vertex-model growth that keeps high-degree hubs
     reachable); otherwise the whole route joins the new chain.
     """
-    cost = ws.cost
-    root, fields = _best_root(targets, ws.adj, cost)
+    root, fields = _best_root(targets, ws.adj, ws.cost)
     if root < 0:
         return None
 
@@ -436,14 +429,10 @@ def _route_vertex(
         target = targets[t]
         if any(nb in target for q in chain for nb in ws.adj[q]):
             continue  # already adjacent, nothing to route
-        goals = _free_frontier(ws, chain)
-        dist, parent = _dijkstra_to_chain(target, ws.adj, cost, goals)
-        reached = [(dist[q], q) for q in goals if dist[q] < math.inf]
-        if not reached:
+        path = _cheapest_route(target, ws.adj, ws.cost, _free_frontier(ws, chain))
+        if path is None:
             rollback()
             return None
-        start = min(reached)[1]
-        path = _walk(parent, start)  # start .. target-adjacent qubit, all free
         ws.occupy(path)
         if donate and len(path) > 1:
             keep = (len(path) + 1) // 2
@@ -455,7 +444,7 @@ def _route_vertex(
 
 
 def _free_frontier(ws: _Workspace, chain: set[int]) -> set[int]:
-    return {q for c in chain for q in ws.adj[c] if ws.free[q]}
+    return {q for c in chain for q in ws.adj[c] if ws.cost[q] < math.inf}
 
 
 def _ensure_capacity(ws: _Workspace, chain: set[int], demand: int) -> None:
@@ -473,7 +462,7 @@ def _ensure_capacity(ws: _Workspace, chain: set[int], demand: int) -> None:
         best = None
         best_gain = 0
         for q in sorted(frontier):
-            gain = sum(1 for x in ws.adj[q] if ws.free[x] and x not in frontier) - 1
+            gain = sum(1 for x in ws.adj[q] if ws.cost[x] < math.inf and x not in frontier) - 1
             if gain > best_gain:
                 best, best_gain = q, gain
         if best is None:
@@ -489,7 +478,7 @@ def _grow_attempt(gl: Graph, ws: _Workspace, rng: np.random.Generator) -> list[s
     for v in order:
         placed = [u for u in sorted(adj_logical[v]) if u in chains]
         if not placed:
-            candidates = np.flatnonzero(ws.free)
+            candidates = np.flatnonzero(np.isfinite(ws.cost))
             if len(candidates) == 0:
                 return None
             q = int(rng.choice(candidates))
@@ -503,10 +492,8 @@ def _grow_attempt(gl: Graph, ws: _Workspace, rng: np.random.Generator) -> list[s
             chains[v] = chain
             for u, extra in zip(placed, donations):
                 chains[u] |= extra
-        unplaced = {u: sum(1 for x in adj_logical[u] if x not in chains) for u in chains}
-        _ensure_capacity(ws, chains[v], unplaced[v])
-        for u in placed:
-            _ensure_capacity(ws, chains[u], unplaced[u])
+        for u in [v, *placed]:
+            _ensure_capacity(ws, chains[u], sum(1 for x in adj_logical[u] if x not in chains))
     return [chains[v] for v in range(gl.n)]
 
 
@@ -551,7 +538,6 @@ def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> 
         raise ValueError(f"seed must be >= 0, got {seed}")
     t0 = time.perf_counter()
     adj = [sorted(s) for s in gp.adjacency()]
-    deg = [float(max(len(a), 1)) for a in adj]
     best: Embedding | None = None
     best_size = math.inf
     restarts = 0
@@ -560,7 +546,7 @@ def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> 
         if gl.n > gp.n:
             break
         rng = np.random.default_rng((seed, attempt))
-        ws = _Workspace(adj, deg, jitter=rng.random(gp.n))
+        ws = _Workspace(adj, jitter=rng.random(gp.n))
         chains = _grow_attempt(gl, ws, rng)
         if chains is None:
             continue
@@ -609,8 +595,6 @@ def _split_parts(value: float, count: int) -> list[float]:
     which keeps later additions of the (power-of-two) chain penalty exact for
     grid-representable inputs; the last part absorbs the exact remainder.
     """
-    if count == 1:
-        return [value]
     m, e = math.frexp(value / count)
     coarse = math.ldexp(round(m * (1 << 26)), e - 26)
     rest = value - (count - 1) * coarse

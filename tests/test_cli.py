@@ -238,6 +238,10 @@ MALFORMED = {
         ["verify", "--graph", "{instance}", "--embedding", "{doc}", "--chimera-k", "1"],
         '{"chains": {"0": [null]}}',
     ),
+    "chain-repeats-a-qubit": (
+        ["verify", "--graph", "{instance}", "--embedding", "{doc}", "--chimera-k", "1"],
+        '{"chains": {"0": [0, 0], "1": [1], "2": [4], "3": [2], "4": [7]}}',
+    ),
     "out-is-a-file": (["bench", "--graph", "{instance}", "--out", "{file}"], None),
     "out-under-a-file": (["bench", "--graph", "{instance}", "--out", "{file}/run"], None),
     "save-embedding-is-a-directory": (

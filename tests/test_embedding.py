@@ -3,7 +3,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from dwmwis import (
     unembed,
     verify_embedding,
 )
-from dwmwis.embedding import _best_root, _dijkstra_to_chain, _walk, _Workspace
+from dwmwis.embedding import _best_root, _cheapest_route, _split_parts, _Workspace
 from oracles import (
     best_root_reference,
     brute_force_mwis,
@@ -196,7 +198,7 @@ class TestWorkspace:
         adj = [sorted(s) for s in gp.adjacency()]
         jitter = rng.random(gp.n)
         deg = np.array([max(len(a), 1) for a in adj], dtype=np.float64)
-        ws = _Workspace(adj, deg.tolist(), jitter=jitter)
+        ws = _Workspace(adj, jitter=jitter)
         assert ws.cost == (1.0 + 0.5 * (0 / deg) + 0.05 * jitter).tolist()
         occupied: set[int] = set()
         for step in range(60):
@@ -212,7 +214,6 @@ class TestWorkspace:
             free = np.array([q not in occupied for q in range(gp.n)])
             used_deg = np.array([sum(nb in occupied for nb in a) for a in adj], dtype=np.int64)
             want = np.where(free, 1.0 + 0.5 * (used_deg / deg) + 0.05 * jitter, math.inf)
-            assert ws.free == free.tolist()
             assert ws.used_deg == used_deg.tolist()
             assert ws.cost == want.tolist(), f"step {step}"
 
@@ -239,15 +240,15 @@ class TestRoutingSearch:
 
             full_dist, full_parent = flood_reference(target, adj, free, cost)
             masked = [c if f else math.inf for c, f in zip(cost, free)]
-            dist, parent = _dijkstra_to_chain(target, adj, masked, goals)
+            route = _cheapest_route(target, adj, masked, goals)
             reached = sorted((full_dist[q], q) for q in goals if full_dist[q] < math.inf)
-            early = [(dist[q], q) for q in goals if dist[q] < math.inf]
             if not reached:
-                assert not early
+                assert route is None
                 continue
-            start = reached[0][1]
-            assert min(early) == reached[0]
-            assert _walk(parent, start) == _walk(full_parent, start)
+            walk = [reached[0][1]]
+            while full_parent[walk[-1]] != -1:
+                walk.append(full_parent[walk[-1]])
+            assert route == walk
             tied += len(reached) > 1 and reached[1][0] == reached[0][0]
         assert tied >= 5
 
@@ -482,6 +483,35 @@ class TestEmbedQubo:
                 assert list(new.entries.items()) == list(
                     embed_qubo_reference(q, emb, gp, strength).entries.items()
                 )
+        # a load whose rounding sets the strength: hub qubit 4 of Path(3) sums
+        # its diagonal part first, (W + S) + S; summed (S + S) + W, its load is
+        # one ulp lower, 2 * load + S falls from above 1 to 1, and the
+        # automatic strength from 2 to 1
+        w = float.fromhex("0x1.af286bca1af29p-4")
+        path = WeightedGraph(Graph.from_edges(3, [(0, 1), (1, 2)]), (0.01, w, 0.01))
+        q = mwis_to_qubo(path, "auto")
+        emb = Embedding(chains=((0, 5), (4,), (1,)), physical=gp)
+        new = embed_qubo(q, emb, strength)
+        old = embed_qubo_reference(q, emb, gp, strength)
+        assert list(new.entries.items()) == list(old.entries.items())
+        assert -new.entries[(0, 5)] / 2 == (2.0 if strength is None else strength)
+
+
+class TestSplitParts:
+    @pytest.mark.parametrize(
+        "value",
+        [1.0, -1.0, 0.1, -2.0 / 3.0, -0.0, 1e-300, -3e-310, 5e-324]
+        + [sys.float_info.max / 8, -sys.float_info.max / 8],
+    )
+    def test_parts_sum_exactly_and_all_but_the_last_are_short(self, value):
+        assert [p.hex() for p in _split_parts(value, 1)] == [value.hex()]
+        for count in range(1, 9):
+            parts = _split_parts(value, count)
+            assert len(parts) == count
+            assert sum(map(Fraction, parts)) == Fraction(value), count
+            # at most 27 significant bits: the mantissa in [0.5, 1) times 2**27
+            # is a whole number
+            assert all((math.frexp(p)[0] * 2**27).is_integer() for p in parts[:-1])
 
 
 class TestEnergyCorrespondence:
