@@ -27,17 +27,20 @@ __all__ = ["ConstraintSet", "BipSolution", "build_constraints", "solve_bip"]
 class ConstraintSet:
     """Weight-independent solver state for one graph.
 
-    ``order`` is the fixed descending-degree branching order and
-    ``neighbor_masks`` are adjacency bitsets over vertex indices; bit v of
-    mask u is the x_u + x_v <= 1 constraint of edge (u, v). ``elimination``
-    is the degeneracy order, the order in which the bound takes vertices:
-    repeatedly a vertex of least degree among those not yet taken, ties to
-    the lowest index. On a forest it takes leaves first.
+    ``elimination`` is the degeneracy order, the order in which the bound
+    takes vertices: repeatedly a vertex of least degree among those not yet
+    taken, ties to the lowest index. On a forest it takes leaves first. The
+    rest names each vertex by its position in ``elimination``: ``masks[p]``
+    is the adjacency bitset of position p over positions, bit q of it the
+    x_u + x_v <= 1 constraint of the edge between the vertices at p and q,
+    and ``order`` is the descending-degree branching order as positions,
+    ties to the lower vertex index. ``num_edges`` sizes the prune margin.
     """
 
     n: int
+    num_edges: int
     order: tuple[int, ...]
-    neighbor_masks: tuple[int, ...]
+    masks: tuple[int, ...]
     elimination: tuple[int, ...]
 
 
@@ -50,17 +53,22 @@ class BipSolution:
 
 def build_constraints(g: Graph) -> ConstraintSet:
     """Build the reusable constraint structure for a graph."""
+    adj = g.adjacency()
+    elimination = _degeneracy_order(adj)
+    position = [0] * g.n
+    for p, v in enumerate(elimination):
+        position[v] = p
     masks = [0] * g.n
     for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    adj = g.adjacency()
+        masks[position[u]] |= 1 << position[v]
+        masks[position[v]] |= 1 << position[u]
     order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
     return ConstraintSet(
         n=g.n,
-        order=tuple(order),
-        neighbor_masks=tuple(masks),
-        elimination=_degeneracy_order(adj),
+        num_edges=g.num_edges,
+        order=tuple(position[v] for v in order),
+        masks=tuple(masks),
+        elimination=elimination,
     )
 
 
@@ -86,24 +94,17 @@ def _degeneracy_order(adj: Sequence[frozenset[int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _greedy_start(cs: ConstraintSet, w: Sequence[float]) -> int:
-    chosen = 0
-    blocked = 0
-    for v in sorted(range(cs.n), key=lambda i: (-w[i], i)):
-        if not (blocked >> v) & 1:
-            chosen |= 1 << v
-            blocked |= (1 << v) | cs.neighbor_masks[v]
-    return chosen
-
-
 def solve_bip(cs: ConstraintSet, weights: Sequence[float]) -> BipSolution:
     """Exact optimum by branch and bound over include/exclude decisions.
 
     The search is a depth-first walk on an explicit stack over ``cs.order``,
-    including a vertex before excluding it. It starts from the greedy set and
-    replaces the best set only on a strictly greater value. Reported values
-    go through the canonical selection sum so they compare bit-exactly
-    against the exhaustive oracle.
+    including a vertex before excluding it. It starts from the greedy set,
+    heaviest first with ties to the lower vertex index, and replaces the best
+    set only on a strictly greater value. The whole search names vertices by
+    their position in ``cs.elimination``; only the returned set is mapped
+    back to vertices. Values are the canonical selection sum, an fsum, so the
+    sum by position is the same float and compares bit-exactly against the
+    exhaustive oracle.
 
     Each node is pruned with the fractional clique cover of ``_Cover``, built
     leaf first over the available vertices. The cover is valid, so it never
@@ -129,87 +130,79 @@ def solve_bip(cs: ConstraintSet, weights: Sequence[float]) -> BipSolution:
     for i, x in enumerate(weights):
         if not (x > 0.0 and math.isfinite(x)):
             raise ValueError(f"weights[{i}] must be positive and finite, got {x}")
-    w = [float(x) for x in weights]
+    elimination = cs.elimination
+    w = [float(weights[v]) for v in elimination]
     try:
         total = math.fsum(w)
     except OverflowError:
         raise ValueError("the weights' total overflows a float") from None
     t0 = time.perf_counter()
-    n = cs.n
-    order = cs.order
-    cover = _Cover(cs, w)
-    masks = cover.masks
-    pos_order = [cover.position[v] for v in order]
+    n, order, masks = cs.n, cs.order, cs.masks
+    heaviest = sorted(range(n), key=lambda p: (-w[p], elimination[p]))
+    cover = _Cover(masks, w, heaviest)
 
-    best_mask = _greedy_start(cs, w)
+    best_mask = blocked = 0
+    for p in heaviest:
+        if not (blocked >> p) & 1:
+            best_mask |= 1 << p
+            blocked |= (1 << p) | masks[p]
     best_value = selection_weight(w, _bits(best_mask))
-    num_edges = sum(mask.bit_count() for mask in cs.neighbor_masks) // 2
-    margin = 4 * (n + num_edges + 2) * math.ulp(total)
+    margin = 4 * (n + cs.num_edges + 2) * math.ulp(total)
     threshold = best_value - margin
 
-    # nodes are (position in order, chosen vertices, their weight, available
-    # vertices); chosen vertices are bits by index, available ones by
-    # position in the elimination order
+    # nodes are (index into order, chosen vertices, their weight, available
+    # vertices), both vertex sets as bitsets over positions
     stack = [(0, 0, 0.0, (1 << n) - 1)]
     while stack:
-        pos, chosen, chosen_w, avail = stack.pop()
+        k, chosen, chosen_w, avail = stack.pop()
         if cover.bound(avail, chosen_w, threshold) <= threshold:
             continue
         # go down the forced choices to the next branching vertex or a leaf
         while True:
-            while pos < n and not (avail >> pos_order[pos]) & 1:
-                pos += 1
-            if pos == n:
+            while k < n and not (avail >> order[k]) & 1:
+                k += 1
+            if k == n:
                 value = selection_weight(w, _bits(chosen))
                 if value > best_value:
                     best_value, best_mask = value, chosen
                     threshold = best_value - margin
                 break
-            v, r = order[pos], pos_order[pos]
-            bit = 1 << r
-            nbrs = masks[r] & avail
-            pos += 1
+            p = order[k]
+            bit = 1 << p
+            nbrs = masks[p] & avail
+            k += 1
             if nbrs:
-                stack.append((pos, chosen, chosen_w, avail ^ bit))
-                stack.append((pos, chosen | (1 << v), chosen_w + w[v], avail & ~(nbrs | bit)))
+                stack.append((k, chosen, chosen_w, avail ^ bit))
+                stack.append((k, chosen | bit, chosen_w + w[p], avail & ~(nbrs | bit)))
                 break
             # a vertex with no available neighbours is in every leaf below, and
             # taking it leaves the bound as it was, so no new check is needed
-            chosen |= 1 << v
-            chosen_w += w[v]
+            chosen |= bit
+            chosen_w += w[p]
             avail ^= bit
-    seconds = time.perf_counter() - t0
-    return BipSolution(
-        vertices=frozenset(_bits(best_mask)), value=best_value, seconds=seconds
-    )
+    vertices = frozenset(elimination[p] for p in _bits(best_mask))
+    return BipSolution(vertices, best_value, seconds=time.perf_counter() - t0)
 
 
 class _Cover:
     """The fractional clique-cover bound of one weight set on one graph.
 
-    Vertices are relabelled by their position in ``cs.elimination``, so a
-    set of available vertices is a bitset whose lowest bit is the next one
-    the cover takes. ``masks`` are the adjacency bitsets in that labelling,
-    ``position[v]`` is vertex v's position, and ``later[p]`` lists the
-    neighbours after position p, heaviest first with ties to the lower index,
-    as ``(position, bit)`` pairs: the candidates of the clique p roots.
+    Vertices are named by their position in the elimination order, so a set
+    of available vertices is a bitset whose lowest bit is the next one the
+    cover takes. ``masks`` are the constraint set's adjacency bitsets,
+    ``weights[p]`` is position p's weight, and ``later[p]`` lists the
+    neighbours after position p in the order ``heaviest`` gives them, as
+    ``(position, bit)`` pairs: the candidates of the clique p roots.
     """
 
-    def __init__(self, cs: ConstraintSet, w: Sequence[float]) -> None:
-        n = cs.n
-        position = [0] * n
-        for p, v in enumerate(cs.elimination):
-            position[v] = p
-        nbrs = [[position[u] for u in _bits(cs.neighbor_masks[v])] for v in cs.elimination]
-        later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for v in sorted(range(n), key=lambda i: (-w[i], i)):
-            p = position[v]
-            for u in nbrs[p]:
-                if u < p:
-                    later[u].append((p, 1 << p))
-        self.position = position
-        self.weights = [w[v] for v in cs.elimination]
-        self.masks = [sum(1 << u for u in row) for row in nbrs]
+    def __init__(self, masks: Sequence[int], weights: list[float], heaviest: list[int]) -> None:
+        later: list[list[tuple[int, int]]] = [[] for _ in masks]
+        for p in heaviest:
+            bit = 1 << p
+            for u in _bits(masks[p] & (bit - 1)):
+                later[u].append((p, bit))
+        self.masks = masks
+        self.weights = weights
         self.later = later
 
     def bound(self, avail: int, base: float, threshold: float) -> float:

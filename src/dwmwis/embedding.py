@@ -626,7 +626,8 @@ def embed_qubo(
     derives from the qubit loads that the splitting pass sums. With intact
     chains the physical energy of the lifted state equals the logical energy.
     Only the couplings of ``q`` are checked per call; ``Embedding.chain_edges``
-    checks the chains once.
+    checks the chains once. A split or strength that overflows a float raises
+    ``ValueError`` naming the entry of largest magnitude.
     """
     if q.n != emb.logical_n:
         raise ValueError(f"QUBO dimension {q.n} != embedded logical size {emb.logical_n}")
@@ -638,21 +639,24 @@ def embed_qubo(
     diag: dict[int, float] = {}
     couplings: dict[tuple[int, int], float] = {}
     load: dict[int, float] = {}  # each qubit's sum of absolute parts
-    for v, chain in enumerate(emb.chains):
-        value = q.entries.get((v, v))
-        if value is not None:
-            for qb, part in zip(chain, _split_parts(value, len(chain))):
-                diag[qb] = part
-                load[qb] = abs(part)
-    for key, edges in pairs.items():
-        value = q.entries.get(key)
-        if value is not None:
-            for (p, r), part in zip(edges, _split_parts(value, len(edges))):
-                couplings[(p, r)] = part
-                load[p] = load.get(p, 0.0) + abs(part)
-                load[r] = load.get(r, 0.0) + abs(part)
-
-    strength = _auto_strength(q, load.values()) if chain_strength is None else chain_strength
+    try:
+        for v, chain in enumerate(emb.chains):
+            value = q.entries.get((v, v))
+            if value is not None:
+                for qb, part in zip(chain, _split_parts(value, len(chain))):
+                    diag[qb] = part
+                    load[qb] = abs(part)
+        for key, edges in pairs.items():
+            value = q.entries.get(key)
+            if value is not None:
+                for (p, r), part in zip(edges, _split_parts(value, len(edges))):
+                    couplings[(p, r)] = part
+                    load[p] = load.get(p, 0.0) + abs(part)
+                    load[r] = load.get(r, 0.0) + abs(part)
+        strength = _auto_strength(q, load.values()) if chain_strength is None else chain_strength
+    except OverflowError:
+        key = max(q.entries, key=lambda k: abs(q.entries[k]))
+        raise ValueError(f"QUBO entry {key} = {q.entries[key]!r} is too large to embed") from None
     if not strength > 0.0:
         raise ValueError(f"chain strength must be positive, got {strength}")
     for edges in intra:

@@ -7,14 +7,15 @@ Nothing here shares code paths with the package: minima come from full
 enumeration, independence checks walk the edge list directly, and weights are
 re-summed with fsum so comparisons against the library are bit-exact. The
 exact optima of cycles and trees are computed in integer hundredths by linear
-dynamic programmes. Three oracles are exceptions. ``brute_force_mwis`` settles
-near ties with ``selection_weight``. ``embed_qubo_reference`` rebuilds the
-chain structure on every call, and shares ``verify_embedding``, the weight
-split and the automatic chain strength with the library.
-``solve_bip_reference`` is the branch and bound with the trivial bound, and
-shares the constraint set and the greedy start with the library.
-``cover_bound_reference`` spells out the solver's clique-cover rule on sets,
-and takes the elimination order from the constraint set.
+dynamic programmes. ``solve_bip_reference`` is the branch and bound with the
+trivial bound, on vertex sets, with its own adjacency, branching order and
+greedy start built from the graph. Three oracles are exceptions.
+``brute_force_mwis`` settles near ties with ``selection_weight``.
+``embed_qubo_reference`` rebuilds the chain structure on every call, and
+shares ``verify_embedding``, the weight split and the automatic chain
+strength with the library. ``cover_bound_reference`` spells out the solver's
+clique-cover rule on neighbour sets built from the graph, but takes the
+elimination order from its caller, which passes the constraint set's.
 ``unembed_read`` is no oracle: it runs the package's ``unembed`` on one read.
 """
 
@@ -27,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from dwmwis import (
-    ConstraintSet,
     Embedding,
     Graph,
     QuboMatrix,
@@ -37,7 +37,6 @@ from dwmwis import (
     unembed,
     verify_embedding,
 )
-from dwmwis.bip import _greedy_start
 from dwmwis.embedding import _split_parts
 
 ENUMERATION_LIMIT = 20
@@ -205,49 +204,64 @@ def reference_mwis(weighted: WeightedGraph) -> tuple[frozenset[int], float]:
     return best_set, best_weight
 
 
-def solve_bip_reference(
-    cs: ConstraintSet, weights: Sequence[float]
-) -> tuple[float, frozenset[int]]:
-    """Branch and bound over ``cs.order``, include before exclude, pruned by
-    "chosen weight plus all still-available weight", by recursion. It starts
-    from the library's greedy set and replaces the best only on a strictly
-    greater value, so ``solve_bip`` must return the same value and set, ties
-    included. The recursion is as deep as the graph is large: keep n small."""
-    n = cs.n
+def _neighbour_sets(g: Graph) -> list[set[int]]:
+    nbrs: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def solve_bip_reference(g: Graph, weights: Sequence[float]) -> tuple[float, frozenset[int]]:
+    """Branch and bound over the vertices by descending degree (ties to the
+    lower index), include before exclude, pruned by "chosen weight plus all
+    still-available weight", by recursion on vertex sets. It starts from the
+    greedy set that takes vertices heaviest first (ties to the lower index)
+    and replaces the best only on a strictly greater value, so ``solve_bip``
+    must return the same value and set, ties included. The recursion is as
+    deep as the graph is large: keep n small."""
+    n = g.n
     w = [float(x) for x in weights]
+    nbrs = _neighbour_sets(g)
+    order = sorted(range(n), key=lambda v: (-len(nbrs[v]), v))
 
-    def value_of(mask: int) -> float:
-        return math.fsum(w[v] for v in range(n) if (mask >> v) & 1)
+    def value_of(chosen: frozenset[int]) -> float:
+        return math.fsum(w[v] for v in sorted(chosen))
 
-    best_mask = _greedy_start(cs, w)
-    best_value = value_of(best_mask)
+    greedy: set[int] = set()
+    for v in sorted(range(n), key=lambda i: (-w[i], i)):
+        if not nbrs[v] & greedy:
+            greedy.add(v)
+    best = frozenset(greedy)
+    best_value = value_of(best)
     margin = 4 * (n + 2) * math.ulp(math.fsum(w))
 
-    def dfs(pos: int, chosen: int, chosen_w: float, avail: int, avail_w: float) -> None:
-        nonlocal best_mask, best_value
+    def dfs(
+        pos: int, chosen: frozenset[int], chosen_w: float, avail: frozenset[int], avail_w: float
+    ) -> None:
+        nonlocal best, best_value
         if chosen_w + avail_w + margin <= best_value:
             return
-        while pos < n and not (avail >> cs.order[pos]) & 1:
+        while pos < n and order[pos] not in avail:
             pos += 1
         if pos == n:
             value = value_of(chosen)
             if value > best_value:
-                best_value, best_mask = value, chosen
+                best_value, best = value, chosen
             return
-        v = cs.order[pos]
-        nbrs = cs.neighbor_masks[v] & avail
-        dropped_w = math.fsum(w[i] for i in range(n) if (nbrs >> i) & 1) + w[v]
-        dropped = nbrs | (1 << v)
-        dfs(pos + 1, chosen | (1 << v), chosen_w + w[v], avail & ~dropped, avail_w - dropped_w)
-        if nbrs:
-            dfs(pos + 1, chosen, chosen_w, avail & ~(1 << v), avail_w - w[v])
+        v = order[pos]
+        dropped = (nbrs[v] & avail) | {v}
+        dropped_w = math.fsum(w[i] for i in dropped)
+        dfs(pos + 1, chosen | {v}, chosen_w + w[v], avail - dropped, avail_w - dropped_w)
+        if len(dropped) > 1:
+            dfs(pos + 1, chosen, chosen_w, avail - {v}, avail_w - w[v])
 
-    dfs(0, 0, 0.0, (1 << n) - 1, math.fsum(w))
-    return best_value, frozenset(v for v in range(n) if (best_mask >> v) & 1)
+    dfs(0, frozenset(), 0.0, frozenset(range(n)), math.fsum(w))
+    return best_value, best
 
 
 def cover_bound_reference(
-    cs: ConstraintSet, weights: Sequence[float], avail: set[int]
+    g: Graph, elimination: Sequence[int], weights: Sequence[float], avail: set[int]
 ) -> float:
     """The fractional clique cover of the vertices in ``avail``: in
     elimination order, each vertex still in play adds its residual c, takes
@@ -255,11 +269,11 @@ def cover_bound_reference(
     into its clique when they are adjacent to every member so far, and lowers
     each member's residual by c; a member at zero or below leaves play. The
     float operations are the solver's, in its order."""
-    nbrs = [{u for u in range(cs.n) if (mask >> u) & 1} for mask in cs.neighbor_masks]
+    nbrs = _neighbour_sets(g)
     residual = [float(x) for x in weights]
     in_play = set(avail)
     bound = 0.0
-    for r in cs.elimination:
+    for r in elimination:
         if r not in in_play:
             continue
         c = residual[r]

@@ -31,29 +31,56 @@ from oracles import (
 )
 
 
+def _position(cs):
+    position = [0] * cs.n
+    for p, v in enumerate(cs.elimination):
+        position[v] = p
+    return position
+
+
+def _cover(cs, weights):
+    """The solver's cover for vertex-indexed weights, built as ``solve_bip``
+    builds it: weights by position, later lists heaviest first with ties to
+    the lower vertex index."""
+    w = [weights[v] for v in cs.elimination]
+    return _Cover(cs.masks, w, sorted(range(cs.n), key=lambda p: (-w[p], cs.elimination[p])))
+
+
+MASK_GRAPHS = {
+    "worked-example": Graph.from_edges(5, [(0, 2), (1, 2), (2, 3), (3, 4)]),
+    "edgeless": Graph.from_edges(4, []),
+    "k4": generate_family(FamilySpec("Complete", (4,))),
+    **{
+        f"random-{k}": random_graph(25, 0.1 + 0.2 * k, np.random.default_rng(6000 + k))
+        for k in range(4)
+    },
+}
+
+
 class TestBuildConstraints:
-    def test_worked_example_has_four(self, tree_graph):
-        cs = build_constraints(tree_graph)
-        # edges (0,2), (1,2), (2,3), (3,4) as adjacency bitsets
-        assert cs.neighbor_masks == (0b00100, 0b00100, 0b01011, 0b10100, 0b01000)
-        assert sum(bin(mask).count("1") for mask in cs.neighbor_masks) == 2 * 4
-
-    def test_edgeless_graph_has_none(self):
-        cs = build_constraints(Graph.from_edges(4, []))
-        assert cs.neighbor_masks == (0, 0, 0, 0)
-
-    def test_k4_has_six(self):
-        cs = build_constraints(generate_family(FamilySpec("Complete", (4,))))
-        assert cs.neighbor_masks == tuple(0b1111 & ~(1 << v) for v in range(4))
-        assert sum(bin(mask).count("1") for mask in cs.neighbor_masks) == 2 * 6
+    @pytest.mark.parametrize("name", MASK_GRAPHS)
+    def test_masks_hold_each_edge_both_ways(self, name):
+        g = MASK_GRAPHS[name]
+        cs = build_constraints(g)
+        pos = _position(cs)
+        assert sorted(cs.elimination) == list(range(g.n))
+        for u, v in g.edges:
+            assert (cs.masks[pos[u]] >> pos[v]) & 1
+            assert (cs.masks[pos[v]] >> pos[u]) & 1
+        assert sum(mask.bit_count() for mask in cs.masks) == 2 * g.num_edges
+        assert cs.num_edges == g.num_edges
 
     def test_branch_order_is_descending_degree(self, tree_graph):
         cs = build_constraints(tree_graph)
-        assert cs.order[0] == 2  # the hub
-        degrees = [len(nbrs) for nbrs in tree_graph.adjacency()]
-        assert all(
-            degrees[cs.order[i]] >= degrees[cs.order[i + 1]] for i in range(len(cs.order) - 1)
-        )
+        # degrees (1, 1, 3, 2, 1): the hub, then vertex 3, then the leaves by index
+        assert [cs.elimination[p] for p in cs.order] == [2, 3, 0, 1, 4]
+        rng = np.random.default_rng(6050)
+        for _ in range(10):
+            g = random_graph(int(rng.integers(1, 30)), float(rng.uniform(0.05, 0.5)), rng)
+            adj = g.adjacency()
+            cs = build_constraints(g)
+            expected = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
+            assert [cs.elimination[p] for p in cs.order] == expected
 
     @pytest.mark.parametrize("trial", range(20))
     def test_elimination_takes_least_remaining_degree_lowest_index(self, trial):
@@ -173,8 +200,7 @@ class TestCoverBound:
 
     @staticmethod
     def root_bound(g, weights):
-        cs = build_constraints(g)
-        return _Cover(cs, weights).bound((1 << g.n) - 1, 0.0, math.inf)
+        return _cover(build_constraints(g), weights).bound((1 << g.n) - 1, 0.0, math.inf)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_equals_the_optimum_on_a_forest(self, trial):
@@ -208,16 +234,17 @@ class TestCoverBound:
         top = 3 if trial % 2 else 100
         weights = tuple(float(k) / 100 for k in rng.integers(1, top, size=n))
         cs = build_constraints(g)
-        cover = _Cover(cs, weights)
+        cover = _cover(cs, weights)
+        pos = _position(cs)
         for _ in range(5):
             avail = {v for v in range(n) if rng.random() < 0.7}
-            mask = sum(1 << cover.position[v] for v in avail)
-            assert cover.bound(mask, 0.0, math.inf) == cover_bound_reference(cs, weights, avail)
+            mask = sum(1 << pos[v] for v in avail)
+            want = cover_bound_reference(g, cs.elimination, weights, avail)
+            assert cover.bound(mask, 0.0, math.inf) == want
 
     def test_stops_once_past_the_threshold(self):
         g = generate_family(FamilySpec("Cycle", (9,)))
-        cs = build_constraints(g)
-        cover = _Cover(cs, [1.0] * 9)
+        cover = _cover(build_constraints(g), [1.0] * 9)
         # the first root adds 1.0 and already exceeds a threshold of 0.5
         assert cover.bound((1 << 9) - 1, 0.0, 0.5) == 1.0
         assert cover.bound((1 << 9) - 1, 0.0, math.inf) >= 4.0
@@ -242,9 +269,8 @@ class TestAgainstReference:
         # weights of 0.01 and 0.02 on odd trials: a fifth of all trials have co-optimal sets
         top = 3 if trial % 2 else 100
         weights = tuple(float(k) / 100 for k in rng.integers(1, top, size=n))
-        cs = build_constraints(g)
-        solution = solve_bip(cs, weights)
-        assert (solution.value, solution.vertices) == solve_bip_reference(cs, weights)
+        solution = solve_bip(build_constraints(g), weights)
+        assert (solution.value, solution.vertices) == solve_bip_reference(g, weights)
 
     @pytest.mark.parametrize(
         "family,params", [("Grid", (5, 5)), ("Star", (12,)), ("Complete", (7,))]
@@ -254,7 +280,7 @@ class TestAgainstReference:
         cs = build_constraints(g)
         for weights in gen_weights(g.n, 5, seed=7):
             solution = solve_bip(cs, weights)
-            assert (solution.value, solution.vertices) == solve_bip_reference(cs, weights)
+            assert (solution.value, solution.vertices) == solve_bip_reference(g, weights)
 
 
 class TestAgainstDynamicProgramme:

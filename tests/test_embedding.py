@@ -456,6 +456,22 @@ class TestEmbedQubo:
         with pytest.raises(ValueError, match="positive"):
             embed_qubo(q, emb, chain_strength=0.0)
 
+    @pytest.mark.parametrize(
+        "entries,chains,strength",
+        [
+            ({(0, 0): -sys.float_info.max}, ((0,),), 1.0),
+            ({(0, 0): -sys.float_info.max}, ((0,),), None),
+            ({(0, 0): -sys.float_info.max / 4, (0, 1): sys.float_info.max / 4}, ((0,), (4,)), None),
+        ],
+        ids=["one-part-split", "one-part-split-auto", "auto-strength"],
+    )
+    def test_rejects_an_entry_that_overflows(self, chip1, entries, chains, strength):
+        # the first two overflow in the one-part split, the last in the
+        # automatic strength (twice the load plus the largest entry is inf)
+        q = QuboMatrix(len(chains), entries)
+        with pytest.raises(ValueError, match=r"entry \(0, 0\) = .* too large"):
+            embed_qubo(q, Embedding(chains=chains, physical=chip1), strength)
+
     @pytest.mark.parametrize("strength", [None, 4.0])
     @pytest.mark.parametrize("k", [2, 4, 12])
     def test_entries_and_their_order_match_per_call_construction(self, k, strength):
