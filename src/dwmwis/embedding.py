@@ -214,13 +214,18 @@ def _cheapest_route(
     """The cheapest free-qubit route from ``goals`` to ``chain``, or None when
     no goal is reached.
 
-    ``cost`` is infinite at every occupied qubit, which no route enters, and at
-    least 1 at every free one. A route's cost sums its qubits, both ends
+    ``cost`` is infinite at every occupied qubit, which no route enters, and
+    positive at every free one. A route's cost sums its qubits, both ends
     included; the route runs from the goal of least ``(cost, qubit)`` to a
-    qubit next to the chain. The search stops at the first goal it settles: a
-    goal's final distance d exceeds its predecessor's, which was settled
-    earlier, so the goal's ``(d, goal)`` entry is on the heap before any
-    larger entry pops, and the parent walk behind it is final.
+    qubit next to the chain. Every step into a qubit x adds the same
+    ``cost[x] > 0``, and the search settles qubits in order of distance, so
+    the first settled neighbour of x is its nearest (and a qubit next to the
+    chain starts at ``cost[x]``, below any longer route): x's distance and
+    parent are final the moment the search first reaches it, and no popped
+    entry is stale. The search keeps the least ``(dist, goal)`` reached so
+    far and stops at the first pop ``d`` with ``d + min(cost[g] for g in
+    goals)`` above that distance, since every goal not yet reached ends at
+    least that far out; a goal that ties it is still reached.
     """
     n = len(adj)
     dist = [math.inf] * n
@@ -230,24 +235,29 @@ def _cheapest_route(
         for q in adj[c]:
             if cost[q] < dist[q]:
                 dist[q] = cost[q]
-                heapq.heappush(heap, (cost[q], q))
+                heap.append((cost[q], q))
+    heapq.heapify(heap)
+    best = min(((dist[g], g) for g in goals), default=(math.inf, -1))
+    nearest = min((cost[g] for g in goals), default=math.inf)
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         d, q = pop(heap)
-        if d > dist[q]:
-            continue
-        if q in goals:
-            route = [q]
-            while parent[route[-1]] != -1:
-                route.append(parent[route[-1]])
-            return route
+        if d + nearest > best[0]:
+            break
         for nb in adj[q]:
             nd = d + cost[nb]
             if nd < dist[nb]:
                 dist[nb] = nd
                 parent[nb] = q
                 push(heap, (nd, nb))
-    return None
+                if nb in goals and (nd, nb) < best:
+                    best = (nd, nb)
+    if best[0] == math.inf:
+        return None
+    route = [best[1]]
+    while parent[route[-1]] != -1:
+        route.append(parent[route[-1]])
+    return route
 
 
 def _best_root(
@@ -257,102 +267,83 @@ def _best_root(
 ) -> tuple[int, list[list[float]]]:
     """The free qubit of least summed route cost to all ``targets``.
 
-    ``cost`` is infinite at every occupied qubit. The score of q is
-    ``dist_0[q] + ... + dist_{T-1}[q] - (T-1) * cost[q]``, where ``dist_t[q]``
-    is the cost of the cheapest free path from q to a qubit next to target t,
-    q included; the least ``(score, qubit)`` wins. The T searches share one
-    heap, and a qubit is scored once all T have settled it. Returns
-    ``(root, fields)`` with ``fields[t]`` the distances of search t, final at
-    the root; ``root`` is -1 when no free qubit reaches every target.
+    ``cost`` is infinite at every occupied qubit and positive at every free
+    one. The score of q is ``dist_0[q] + ... + dist_{T-1}[q] - (T-1) *
+    cost[q]``, where ``dist_t[q]`` is the cost of the cheapest free path from
+    q to a qubit next to target t, q included; the least ``(score, qubit)``
+    wins. Returns ``(root, fields)`` with ``fields[t]`` the distances search
+    t reached, final at the root; ``root`` is -1 when no free qubit reaches
+    every target.
 
-    The loop stops at a popped distance ``d`` once no qubit that is not yet
-    scored can still score at most ``limit = best * (1 + 1e-9)``; the margin
-    only absorbs the rounding of the sums. Each search t has settled every
-    distance below d, and its other distances end at d or above, so a qubit x
-    settled by k searches scores at least ``LB(x) = known[x] + (T-k) * d -
-    (T-1) * cost[x]``, with ``known[x]`` the sum of its settled distances
-    (this is ``sum_t min(fields[t][x], d) - (T-1) * cost[x]``), which never
-    falls as d grows:
+    The T searches share one heap, each starting from its target's chain at
+    distance 0. As in ``_cheapest_route``, a distance is final the moment a
+    search first reaches the qubit, so q is scored, from the same floats a
+    full search would settle, as soon as all T searches have reached it. At a
+    popped distance ``d``, a search that has not reached x ends at
+    ``dist_t[x] >= d + cost[x]``. So with ``limit = best * (1 + 1e-9)`` (the
+    margin only absorbs the rounding of the sums):
 
-    * every ``dist_t >= cost``, so a score is at least each of its terms, and
-      ``d > limit`` stops the loop (the only test for T <= 2, where the
-      bounds below are no tighter; for T = 1 the root is the target's free
-      neighbour of least ``(cost, qubit)``);
-    * a qubit that no search has settled has ``LB >= T*d - (T-1)*c_max``, with
-      ``c_max`` the largest finite cost;
-    * the qubits that some searches have settled are rescanned once d passes
-      that bound (recomputed with each new best), and again whenever d
-      passes the radius at which the last rescan's survivors would exceed
-      ``limit``; those whose ``LB`` already exceeds it are dropped for good,
-      and the loop stops when none is left.
+    * a qubit that no search has reached scores at least ``T*d + cost[x]``,
+      above ``limit`` once ``T*d > limit``;
+    * a qubit that k searches have reached, ``known[x]`` their sum, scores at
+      least ``LB(x) = known[x] + (T-k) * (d + cost[x]) - (T-1) * cost[x]``,
+      which never falls as d grows and more searches reach x.
 
-    A qubit that ties the best score is therefore scored before the loop
-    stops, and ties resolve to the lowest index as in a full search.
+    The partly reached qubits are rescanned once ``T*d`` passes ``limit``,
+    and again whenever d passes the radius at which the last rescan's
+    survivors would exceed it; those whose ``LB`` already exceeds it are
+    dropped for good, and the loop stops when none is left. A qubit that ties
+    the best score is therefore scored before the loop stops, and ties
+    resolve to the lowest index as in a full search.
     """
     n, size = len(adj), len(targets)
     fields = [[math.inf] * n for _ in targets]
-    settled = [0] * n
-    known = [0.0] * n  # sum of each qubit's settled distances
-    touched: list[int] = []  # qubits settled by some search, rescanned to stop
-    heap: list[tuple[float, int, int]] = []
-    for t, chain in enumerate(targets):
-        dist = fields[t]
-        for c in chain:
-            for q in adj[c]:
-                if cost[q] < dist[q]:
-                    dist[q] = cost[q]
-                    heap.append((cost[q], t, q))
+    reached = [0] * n
+    known = [0.0] * n  # sum of each qubit's reached distances
+    touched: list[int] = []  # qubits some searches but not all have reached
+    heap = [(0.0, t, c) for t, chain in enumerate(targets) for c in chain]
     heapq.heapify(heap)
     best, root, limit = math.inf, -1, math.inf
-    check, c_max = math.inf, math.inf  # ``check``: the pop above which a stop is tested
+    check = math.inf  # the pop above which the partly reached are rescanned
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         d, t, q = pop(heap)
         if d > check:
-            if d > limit:
-                break
-            survivors, radius = [], d
+            survivors, radius = [], limit / size
             for x in touched:
-                unknown = size - settled[x]
+                unknown = size - reached[x]
                 if not unknown:
                     continue
                 slack = limit + (size - 1) * cost[x] - known[x]
-                if unknown * d > slack:
+                if unknown * (d + cost[x]) > slack:
                     continue  # LB(x) > limit at this pop and every later one
                 survivors.append(x)
-                if slack > unknown * radius:
-                    radius = slack / unknown
+                r = slack / unknown - cost[x]
+                if r > radius:
+                    radius = r
             if not survivors:
                 break
-            touched = survivors
-            check = min(limit, radius)
+            touched, check = survivors, radius
         dist = fields[t]
-        if d > dist[q]:
-            continue
-        k = settled[q] + 1
-        settled[q] = k
-        known[q] += d
-        if k == 1:
-            touched.append(q)
-        if k == size:
-            score = 0.0
-            for field in fields:
-                score += field[q]
-            score -= (size - 1) * cost[q]
-            if score < best or (score == best and q < root):
-                best, root, limit = score, q, score * (1.0 + 1e-9)
-                check = limit
-                if size > 2:
-                    if c_max == math.inf:
-                        c_max = max(filter(math.isfinite, cost))
-                    # rescan once every qubit that no search has settled
-                    # exceeds the new limit
-                    check = min(limit, (limit + (size - 1) * c_max) / size)
         for nb in adj[q]:
             nd = d + cost[nb]
             if nd < dist[nb]:
                 dist[nb] = nd
                 push(heap, (nd, t, nb))
+                k = reached[nb] + 1
+                reached[nb] = k
+                if k < size:
+                    known[nb] += nd
+                    if k == 1:
+                        touched.append(nb)
+                    continue
+                score = 0.0
+                for field in fields:
+                    score += field[nb]
+                score -= (size - 1) * cost[nb]
+                if score < best or (score == best and nb < root):
+                    best, root, limit = score, nb, score * (1.0 + 1e-9)
+                    check = limit / size
     return root, fields
 
 
