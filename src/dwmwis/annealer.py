@@ -8,10 +8,10 @@ a fixed seed. A sweep visits the qubits in ascending order, but a layer at a
 time: the qubits are layered once per call so that no coupling joins two
 qubits of a layer and every coupling runs from a lower layer to a higher one,
 and each layer is updated at once from one matrix product. That is the same
-Markov chain as updating the qubits one by one. Only the qubits the matrix
-touches are annealed and read out. Timing never comes from the sampler
-itself: processing time is modelled from configurable constants the way the
-hardware publishes them.
+Markov chain as updating the qubits one by one. A spin flips when the sign of
+log(u) minus its scaled field says so, u being numpy's float32 uniforms cut
+from raw PCG64 words. Only the active qubits are annealed and read out. Time
+is modelled from constants the way the hardware publishes them, not measured.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -155,8 +155,10 @@ def _schedule(q: QuboMatrix, active: Sequence[int], cfg: SamplerConfig) -> np.nd
     magnitudes = [abs(v) for v in q.entries.values()]
     hottest = max(magnitudes)
     coldest = 1e-2 * min(magnitudes)
-    if not (hottest >= coldest > 0.0):
-        raise ValueError(f"bad temperature range ({hottest}, {coldest})")
+    # |field| * T <= the qubit's magnitudes summed; a NaN field has no flip decision
+    bound = float(np.bincount(np.ravel(list(q.entries)), np.repeat(magnitudes, 2)).max())
+    if not (coldest > 0.0 and math.isfinite(bound * (1.0 / coldest))):
+        raise ValueError(f"bad temperature range ({hottest}, {coldest}): 1/T or a field overflows")
     sweeps = cfg.sweeps if cfg.sweeps is not None else 64 * len(active)
     return np.geomspace(hottest, coldest, sweeps)
 
@@ -183,6 +185,33 @@ def _sweep_layers(q: QuboMatrix) -> list[list[int]]:
     return layers
 
 
+def _log_uniforms(bit_generator: np.random.BitGenerator, out: np.ndarray) -> Iterator[None]:
+    """Each step fills the float32 ``out`` with log(u), u the next uniforms of
+    ``Generator.random(out.shape, dtype=np.float32)``: numpy cuts u from 32
+    bits as ``(bits >> 8) * 2**-24``, and PCG64 hands out the low half of a
+    64-bit word first and holds the high half back for the next request. A
+    half held back at the start (``integers`` can leave one) comes first, and
+    one left over starts the next step. A draw takes at most 2**14 words, so
+    that a large step's transient words do not add to the peak memory."""
+    flat = out.reshape(-1)
+    state = bit_generator.state
+    halves = np.array([state["uinteger"]] * state["has_uint32"], dtype="<u4")
+    while True:
+        at = 0
+        while at < flat.size:
+            if not halves.size:
+                words = min(-(-(flat.size - at) // 2), 1 << 14)
+                # little-endian words split low half first: value order on any host
+                halves = bit_generator.random_raw(words).astype("<u8", copy=False).view("<u4")
+            bits, halves = halves[: flat.size - at], halves[flat.size - at :]
+            bits >>= 8  # 24 bits: exact as int32 and as float32
+            np.multiply(bits.view("<i4"), 2.0**-24, out=flat[at : at + bits.size], dtype=np.float32)
+            at += bits.size
+        with np.errstate(divide="ignore"):
+            np.log(out, out=out)
+        yield
+
+
 def sample(qp: QuboMatrix, gp: Graph, cfg: SamplerConfig) -> Reads:
     """Draw ``cfg.num_samples`` independent annealing runs of the QUBO.
 
@@ -194,6 +223,12 @@ def sample(qp: QuboMatrix, gp: Graph, cfg: SamplerConfig) -> Reads:
     layer flips at once from one matrix product, with the same outcome as
     flipping its qubits one by one. Only the qubits the matrix touches are
     annealed and read out. Deterministic for a fixed seed.
+
+    Spin s = 2x - 1 flips when its delta -s * local is below -T log(u), that is
+    when f = s * local / T > log(u): s becomes s * copysign(1, log(u) - f). For
+    finite values IEEE subtraction is 0 only on a tie, and +0 keeps s; u = 0
+    gives -inf and flips. u: ``Generator.random``'s float32 draws per sweep over
+    (qubit in layer order, read), cut from raw words (see ``_log_uniforms``).
     """
     if qp.n != gp.n:
         raise ValueError(f"QUBO dimension {qp.n} != hardware size {gp.n}")
@@ -235,33 +270,28 @@ def sample(qp: QuboMatrix, gp: Graph, cfg: SamplerConfig) -> Reads:
         for (lo, hi), columns in zip(spans, touched):
             compact[lo:hi, : len(columns)] = field_matrix[lo:hi, columns]
         scaled = np.empty_like(compact)
-        blocks = [
-            (lo, hi, columns, scaled[lo:hi, : len(columns)])
-            for (lo, hi), columns in zip(spans, touched)
-        ]
 
         rows = np.array([position[q] for q in qubits], dtype=np.intp)
         spins = np.ones((n_active + 1, reads))
         spins[rows] = 2.0 * bits.T - 1.0
-        widest = max(len(layer) for layer in layers)
-        log_u = np.empty((n_active, reads), dtype=np.float32)
-        field = np.empty((widest, reads))
-        flip = np.empty((widest, reads), dtype=bool)
-        # x flips when its delta (1 - 2x) * local = -s * local is below
-        # -T log(u), that is when s * local / T > log(u); a draw of 0 always
-        # flips. The temperature stays in float64, so a large coefficient
-        # scale cannot overflow the float32 draws.
-        with np.errstate(divide="ignore"):
-            for temperature in temps:
-                np.multiply(compact, 1.0 / temperature, out=scaled)
-                rng.random(dtype=np.float32, out=log_u)
-                np.log(log_u, out=log_u)
-                for lo, hi, columns, matrix in blocks:
-                    f, fl, s = field[: hi - lo], flip[: hi - lo], spins[lo:hi]
-                    np.matmul(matrix, spins[columns], out=f)
-                    f *= s
-                    np.greater(f, log_u[lo:hi], out=fl)
-                    np.negative(s, out=s, where=fl)
+        field = np.empty((max(len(layer) for layer in layers), reads))
+        logs = np.empty((n_active, reads), dtype=np.float32)
+        blocks = []
+        for (lo, hi), columns in zip(spans, touched):
+            f, s, ell = field[: hi - lo], spins[lo:hi], logs[lo:hi]
+            matrix = scaled[lo:hi, : len(columns)]
+            blocks.append((f, f.view(np.uint64), s, s.view(np.uint64), ell, columns, matrix))
+        # with d = log(u) - f in f, s * copysign(1, d) is s XOR d's sign bit
+        # (numpy's copysign loop is not vectorised). T stays in float64, so a
+        # large coefficient scale cannot overflow the float32 draws.
+        for temperature, _ in zip(temps, _log_uniforms(rng.bit_generator, logs)):
+            np.multiply(compact, 1.0 / temperature, out=scaled)
+            for f, f_bits, s, s_bits, ell, columns, matrix in blocks:
+                np.matmul(matrix, spins[columns], out=f)
+                f *= s
+                np.subtract(ell, f, out=f)
+                f_bits &= 1 << 63  # the sign bit
+                s_bits ^= f_bits
         bits[:] = (spins[rows] > 0.0).T
     return Reads(bits, np.array(qubits, dtype=np.intp))
 

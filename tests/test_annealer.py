@@ -22,7 +22,7 @@ from dwmwis import (
     scale_to_unit,
     timing_profile,
 )
-from dwmwis.annealer import _sweep_layers
+from dwmwis.annealer import _log_uniforms, _sweep_layers
 from oracles import (
     energy,
     exhaustive_qubo_minimum,
@@ -163,6 +163,25 @@ class TestSampler:
         minimum, _ = exhaustive_qubo_minimum(q)
         assert min(read_energies(q, reads)) == pytest.approx(minimum, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # 1/T overflows at the coldest temperature, 1e-309
+            {(0, 0): -1.0, (1, 1): -1.0, (4, 4): -1e-307, (0, 4): 0.5, (1, 5): 0.5, (5, 5): -0.25},
+            # qubit 0's field constant h + J/2 overflows before any scaling
+            {(0, 0): 1.5e308, (0, 4): 1e308, (4, 4): 1e306},
+            # finite coefficients whose fields overflow at 1/T = 100
+            {(0, 0): -1e307, (0, 4): 1e307, (4, 4): 1.0},
+        ],
+        ids=["inverse-temperature", "field-constant", "scaled-field"],
+    )
+    def test_overflowing_temperature_range_rejected(self, entries):
+        # a NaN field has no flip decision (f > log(u) reads it as a keep, the
+        # sign of log(u) - f as its sign bit): refused before a sweep, warning-free
+        q = QuboMatrix(8, entries)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="bad temperature range"):
+            sample(q, chimera(1), SamplerConfig(num_samples=4))
+
 
 def assert_sweep_layers(q: QuboMatrix, layers: list[list[int]]) -> None:
     """Layers partition the active qubits, each sorted, and every coupling runs
@@ -251,6 +270,115 @@ class TestSweepLayers:
         cfg = SamplerConfig(num_samples=40, sweeps=25, seed=trial)
         reads = sample(q, gp, cfg)
         assert np.array_equal(reads.samples, one_by_one(q, cfg))
+
+    @pytest.mark.parametrize("reads", [39, 1])
+    @pytest.mark.parametrize("hardware", ["chimera2", "Petersen"])
+    def test_layered_sweep_equals_one_by_one_sweep_at_odd_reads(self, hardware, reads):
+        # an odd number of draws per sweep leaves half a raw word to the next
+        from dwmwis import FamilySpec, generate_family
+
+        gp = chimera(2) if hardware == "chimera2" else generate_family(FamilySpec("Petersen", ()))
+        q = random_hardware_qubo(gp, np.random.default_rng(640 + reads))
+        q = QuboMatrix(gp.n, {key: value for key, value in q.entries.items() if 0 not in key})
+        assert len({i for key in q.entries for i in key}) * reads % 2 == 1
+        cfg = SamplerConfig(num_samples=reads, sweeps=25, seed=reads)
+        assert np.array_equal(sample(q, gp, cfg).samples, one_by_one(q, cfg))
+
+
+def reference_logs(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(rng.random(shape, dtype=np.float32))
+
+
+def zero_word_generator(words_before: int) -> np.random.Generator:
+    """A PCG64 stream whose output number ``words_before + 1`` is the word 0:
+    the state is 0 right after that step, and XSL-RR maps state 0 to 0."""
+    bit_generator = np.random.PCG64(0)
+    state = bit_generator.state
+    state["state"]["state"] = 0
+    bit_generator.state = state
+    bit_generator.advance(-(words_before + 1))
+    return np.random.Generator(bit_generator)
+
+
+class TestLogUniforms:
+    @pytest.mark.parametrize(
+        "shape",
+        # 33x1001 draws an odd number of values in two draws of raw words
+        [(1, 1), (3, 5), (4, 4), (7, 39), (34, 1000), (33, 1001)],
+        ids=lambda s: f"{s[0]}x{s[1]}",
+    )
+    @pytest.mark.parametrize("start_bits", [0, 1, 4, 8, 10])
+    def test_raw_words_give_the_float32_stream(self, shape, start_bits):
+        # start bits are drawn a byte at a time from 32-bit requests, so some
+        # counts leave the high half of a word held back, and some do not
+        mine, theirs = np.random.default_rng(start_bits), np.random.default_rng(start_bits)
+        for rng in (mine, theirs):
+            rng.integers(0, 2, size=start_bits, dtype=np.int8)
+        held = mine.bit_generator.state["has_uint32"]
+        assert held == ((start_bits + 3) // 4) % 2
+        out = np.empty(shape, dtype=np.float32)
+        steps = _log_uniforms(mine.bit_generator, out)
+        for _ in range(4):  # odd sizes carry a half from step to step
+            next(steps)
+            assert np.array_equal(out, reference_logs(theirs, shape))
+
+    def test_a_zero_word_gives_minus_infinity_on_both_halves(self):
+        # one start-bit request takes the low half of word 1 and holds its
+        # high half back; word 3 is 0, so draws 4 and 5 are -inf, the last of
+        # the first step and the carry into the second
+        mine, theirs = zero_word_generator(2), zero_word_generator(2)
+        for rng in (mine, theirs):
+            rng.integers(0, 2, size=3, dtype=np.int8)
+        out = np.empty((1, 4), dtype=np.float32)
+        steps = _log_uniforms(mine.bit_generator, out)
+        for expected in ([False, False, False, True], [True, False, False, False]):
+            next(steps)
+            assert np.array_equal(out, reference_logs(theirs, (1, 4)))
+            assert (out[0] == -np.inf).tolist() == expected
+
+
+def isolated_qubo(linear: dict[int, float]) -> QuboMatrix:
+    """Uncoupled qubits on chimera(1): one layer, in ascending order."""
+    return QuboMatrix(8, {(i, i): value for i, value in linear.items()})
+
+
+class TestFlipRule:
+    def test_a_tie_keeps_the_spin_for_either_sign(self):
+        # one sweep at T = 64 (the largest magnitude), so qubit q's scaled
+        # field is s * h_q / 64 exactly; h_1 and h_2 make it equal log(u) at
+        # one read where s = +1 and one where s = -1
+        reads, seed = 64, 11
+        rng = np.random.default_rng(seed)
+        start = rng.integers(0, 2, size=(reads, 3), dtype=np.int8)
+        logs = reference_logs(rng, (3, reads)).astype(float)
+        spin = 2.0 * start.T - 1.0
+        usable = logs > -1.0
+        tie_up = int(np.flatnonzero(usable[1] & (spin[1] > 0))[0])
+        tie_down = int(np.flatnonzero(usable[2] & (spin[2] < 0))[0])
+        h = {0: -64.0, 1: 64.0 * logs[1, tie_up], 2: -64.0 * logs[2, tie_down]}
+        reads_out = sample(isolated_qubo(h), chimera(1), SamplerConfig(reads, sweeps=1, seed=seed))
+        for q, tie in ((1, tie_up), (2, tie_down)):
+            f = spin[q] * h[q] / 64.0
+            assert f[tie] == logs[q, tie]
+            expected = np.where(f > logs[q], 1 - start[:, q], start[:, q])
+            assert expected[tie] == start[tie, q]
+            assert np.array_equal(reads_out.samples[:, q], expected)
+
+    def test_a_zero_draw_flips_either_spin(self, monkeypatch):
+        # a single qubit with h = +/-1 at T = 1 has f = +/-1, so only a draw
+        # below exp(-1) flips it from f = -1; word 2 of the stream is 0 and
+        # gives the draws of reads 0 and 1 (eight start bits take word 1)
+        reads = 8
+        rng = zero_word_generator(1)
+        start = rng.integers(0, 2, size=(reads, 1), dtype=np.int8)[:, 0]
+        assert (reference_logs(rng, (1, reads))[0, :2] == -np.inf).all()
+        for h in (1.0, -1.0):
+            monkeypatch.setattr(np.random, "default_rng", lambda seed: zero_word_generator(1))
+            reads_out = sample(isolated_qubo({0: h}), chimera(1), SamplerConfig(reads, sweeps=1))
+            monkeypatch.undo()
+            assert (reads_out.samples[:2, 0] == 1 - start[:2]).all()
+        assert set(start[:2].tolist()) == {0, 1}  # both signs of s meet the zero draw
 
 
 class TestSuccessProbability:

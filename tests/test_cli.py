@@ -181,6 +181,20 @@ class TestBench:
         )
         assert code == cli.EXIT_INPUT
 
+    def test_weight_range_beyond_the_schedule_exits_4(self, tmp_path, capsys):
+        # scaled to the unit range, the light vertex's coefficient sets a
+        # coldest temperature of about 7e-313, whose inverse overflows
+        instance = tmp_path / "tiny.json"
+        instance.write_text('{"n": 2, "edges": [[0, 1]], "weights": [1.0, 1e-310]}')
+        code = run_cli(
+            "bench", "--graph", instance, "--chimera-k", 1, "--samples", 4, "--sweeps", 2,
+            "--out", tmp_path / "o",
+        )
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: input-error: bad temperature range") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
 
 class TestVerify:
     def test_valid_embedding_passes(self, tree_instance, tmp_path, capsys):
