@@ -35,6 +35,7 @@ __all__ = [
     "timing_profile",
     "Unsolved",
     "sample",
+    "temperature_range",
     "k_p",
     "proc_time",
 ]
@@ -151,7 +152,9 @@ class SampleSet:
         return cls(sum(p.hits for p in parts), sum(p.total for p in parts))
 
 
-def _schedule(q: QuboMatrix, active: Sequence[int], cfg: SamplerConfig) -> np.ndarray:
+def temperature_range(q: QuboMatrix) -> tuple[float, float]:
+    """``(hottest, coldest)`` of the sampler's schedule for a nonempty ``q``;
+    raises ``ValueError`` when 1/T or a scaled field would overflow."""
     magnitudes = [abs(v) for v in q.entries.values()]
     hottest = max(magnitudes)
     coldest = 1e-2 * min(magnitudes)
@@ -159,6 +162,11 @@ def _schedule(q: QuboMatrix, active: Sequence[int], cfg: SamplerConfig) -> np.nd
     bound = float(np.bincount(np.ravel(list(q.entries)), np.repeat(magnitudes, 2)).max())
     if not (coldest > 0.0 and math.isfinite(bound * (1.0 / coldest))):
         raise ValueError(f"bad temperature range ({hottest}, {coldest}): 1/T or a field overflows")
+    return hottest, coldest
+
+
+def _schedule(q: QuboMatrix, active: Sequence[int], cfg: SamplerConfig) -> np.ndarray:
+    hottest, coldest = temperature_range(q)
     sweeps = cfg.sweeps if cfg.sweeps is not None else 64 * len(active)
     return np.geomspace(hottest, coldest, sweeps)
 

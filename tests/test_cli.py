@@ -181,9 +181,14 @@ class TestBench:
         )
         assert code == cli.EXIT_INPUT
 
-    def test_weight_range_beyond_the_schedule_exits_4(self, tmp_path, capsys):
+    def test_weight_range_beyond_the_schedule_exits_4(self, tmp_path, capsys, monkeypatch):
         # scaled to the unit range, the light vertex's coefficient sets a
-        # coldest temperature of about 7e-313, whose inverse overflows
+        # coldest temperature of about 7e-313, whose inverse overflows; that
+        # is refused before the classical pass, which is exponential in general
+        def classical_pass(inst):
+            raise AssertionError("the classical pass ran before the weight range was checked")
+
+        monkeypatch.setattr(cli, "run_classical", classical_pass)
         instance = tmp_path / "tiny.json"
         instance.write_text('{"n": 2, "edges": [[0, 1]], "weights": [1.0, 1e-310]}')
         code = run_cli(

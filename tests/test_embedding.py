@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dwmwis import (
     Embedding,
@@ -29,7 +31,15 @@ from dwmwis import (
     unembed,
     verify_embedding,
 )
-from dwmwis.embedding import _best_root, _cheapest_route, _split_parts, _Workspace
+from dwmwis import embedding
+from dwmwis.embedding import (
+    _best_root,
+    _cheapest_route,
+    _connector_floor,
+    _route_vertex,
+    _split_parts,
+    _Workspace,
+)
 from oracles import (
     best_root_reference,
     brute_force_mwis,
@@ -40,7 +50,9 @@ from oracles import (
     exhaustive_qubo_minimum,
     flood_reference,
     grid_weights,
+    improve_reference,
     is_independent,
+    least_connector_of_two,
     lift_bits,
     random_graph,
     root_scores,
@@ -491,6 +503,158 @@ class TestRoutingSearch:
             tied += sum(cost[q] == cost[root] for q in frontier) > 1
         assert tied >= 5
         assert walled == 6
+
+
+class _CountingRows(list):
+    """An adjacency list that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, q):
+        self.reads += 1
+        return super().__getitem__(q)
+
+
+def _path_workspace(hops: int) -> tuple[_Workspace, list[set[int]]]:
+    """Two one-qubit targets at the ends of a path with ``hops`` free qubits
+    between them: the least connector is the whole interior."""
+    n = hops + 2
+    adj = _CountingRows([[nb for nb in (q - 1, q + 1) if 0 <= nb < n] for q in range(n)])
+    ws = _Workspace(adj, jitter=np.zeros(n))
+    ws.occupy([0, n - 1])
+    adj.reads = 0
+    return ws, [{0}, {n - 1}]
+
+
+_C4_ADJ = [sorted(s) for s in chimera(4).adjacency()]
+
+
+def _skip_case(seed: int, size: int, n_targets: int, blockers: int):
+    """A chimera(4) workspace where a vertex's chain of about ``size`` qubits
+    touches ``n_targets`` neighbour chains, among random blocker chains:
+    ``(ws, old, targets)`` with ``old`` occupied, as ``_improve`` finds it."""
+    rng = np.random.default_rng(seed)
+    ws = _Workspace(_C4_ADJ, jitter=rng.random(len(_C4_ADJ)))
+
+    def free_near(chain) -> list[int]:
+        return sorted({nb for q in chain for nb in _C4_ADJ[q] if ws.cost[nb] < math.inf})
+
+    def grow(start: int, length: int) -> set[int]:
+        chain = [start]
+        ws.occupy([start])
+        while len(chain) < length and free_near(chain):
+            chain.append(int(rng.choice(free_near(chain))))
+            ws.occupy(chain[-1:])
+        return set(chain)
+
+    for _ in range(blockers):
+        grow(int(rng.choice(np.flatnonzero(np.isfinite(ws.cost)))), 1 + int(rng.integers(0, 4)))
+    old = grow(int(rng.choice(np.flatnonzero(np.isfinite(ws.cost)))), size)
+    targets = []
+    for _ in range(n_targets):
+        near = free_near(old)
+        if not near:
+            break
+        targets.append(grow(int(rng.choice(near)), 1 + int(rng.integers(0, 3))))
+    return ws, old, targets
+
+
+class TestImproveSkips:
+    @pytest.mark.parametrize("hops", range(1, 9))
+    def test_floor_on_a_path_is_the_least_connector(self, hops):
+        for limit in range(1, 10):
+            ws, targets = _path_workspace(hops)
+            assert _connector_floor(ws, targets, limit) == min(hops, limit), f"limit {limit}"
+        ws, targets = _path_workspace(hops)
+        chain, _ = _route_vertex(ws, targets, donate=False)
+        assert chain == set(range(1, hops + 1))
+
+    @pytest.mark.parametrize("limit", range(4, 10))
+    def test_hop_search_stops_at_depth_limit_minus_2(self, limit):
+        # the far frontier lies limit - 1 hops out: two rows for the targets'
+        # frontiers, then one per layer expanded, depths 0 to limit - 3
+        ws, targets = _path_workspace(limit)
+        assert _connector_floor(ws, targets, limit) == limit
+        assert ws.adj.reads == limit
+
+    def test_walled_in_target_has_no_connector(self):
+        ws, targets = _path_workspace(3)
+        ws.occupy([1])
+        assert _connector_floor(ws, targets, 5) == 5
+        assert _route_vertex(ws, targets, donate=False) is None
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(2, 9),
+        n_targets=st.integers(1, 5),
+        blockers=st.integers(0, 40),
+    )
+    def test_floor_bounds_the_reroute_and_a_rejection_restores_the_costs(
+        self, seed, size, n_targets, blockers
+    ):
+        ws, old, targets = _skip_case(seed, size, n_targets, blockers)
+        assume(targets)  # _improve re-routes only vertices with neighbours
+        before = list(ws.cost)
+        ws.release(old)
+        floor = _connector_floor(ws, targets, len(old))
+        assert 1 <= floor <= len(old)
+        if len(targets) == 2:
+            # exact for two targets: a shortest path between their frontiers
+            free = [c < math.inf for c in ws.cost]
+            assert floor == min(len(old), least_connector_of_two(_C4_ADJ, free, *targets))
+        routed = _route_vertex(ws, targets, donate=False)
+        if routed is not None:
+            assert len(routed[0]) >= floor
+            ws.release(routed[0])
+        ws.occupy(old)
+        assert ws.cost == before
+
+    @pytest.mark.parametrize("trial, run", [(1, 16), (14, 38)])
+    def test_reroutes_run_are_pinned(self, trial, run, monkeypatch):
+        # a timing-free guard on the skips: the improvement passes of these
+        # two searches run 16 and 38 re-routes, where re-routing every
+        # vertex runs 86 and 161, and 17 and 41 without skip (a)
+        real = embedding._route_vertex
+        donated: list[bool] = []
+
+        def counting(ws, targets, donate):
+            donated.append(donate)
+            return real(ws, targets, donate)
+
+        monkeypatch.setattr(embedding, "_route_vertex", counting)
+        heuristic_embed(_criterion_4_graph(trial), chimera(12), seed=trial)
+        assert donated.count(False) == run
+
+    @pytest.mark.slow
+    def test_skips_keep_the_reference_chains(self, monkeypatch):
+        # the improvement pass with its skips against the one that re-routes
+        # every vertex: the same chains and restarts on every graph of the corpus
+        rng = np.random.default_rng(2100)
+        corpus = [
+            (random_graph(int(rng.integers(8, 21)), float(rng.uniform(0.1, 0.3)), rng), k, seed)
+            for k in (4, 8, 12)
+            for seed in range(6)
+        ]
+        families = [
+            ("Cycle", (20,)), ("Star", (20,)), ("Complete", (8,)), ("CompleteBipartite", (4, 4)),
+            ("Grid", (6, 6)), ("Grid", (8, 8)),
+        ]
+        corpus += [
+            (generate_family(FamilySpec(family, params)), 4 if family != "Grid" else 8, seed)
+            for family, params in families
+            for seed in range(3)
+        ]
+
+        def embed_all():
+            return [heuristic_embed(g, chimera(k), seed=seed) for g, k, seed in corpus]
+
+        skipping = embed_all()
+        monkeypatch.setattr(embedding, "_improve", improve_reference)
+        reference = embed_all()
+        assert len(corpus) == 36
+        for case, (a, b) in enumerate(zip(skipping, reference)):
+            assert (a.embedding, a.restarts) == (b.embedding, b.restarts), f"case {case}"
 
 
 class TestCliqueEmbedding:
