@@ -34,6 +34,7 @@ from .annealer import (
     k_p,
     proc_time,
     sample,
+    temperature_range,
 )
 from .bip import build_constraints, solve_bip
 from .embedding import EmbedResult, Embedding, embed_qubo, heuristic_embed, unembed
@@ -205,7 +206,7 @@ class BenchmarkRecord:
     max_chain_length: int
     T_H: float
     T_std: float
-    T_C: float | None
+    T_C: float
     t_embed_each: tuple[float, ...] | None = None
 
     @property
@@ -275,19 +276,17 @@ def reweight(weighted: WeightedGraph, emb: Embedding, chain_strength: float | No
 
 
 def _solve_assignment(
-    inst: DwmwisInstance,
+    weighted: WeightedGraph,
     index: int,
     emb: Embedding,
     cfg: BenchConfig,
     tm: TimingModel,
     optimal_value: float,
+    q_scaled: QuboMatrix,
+    t2: float,
 ) -> AssignmentOutcome:
-    weighted = inst.weighted(index)
-
-    t2_start = time.perf_counter()
-    q_scaled = reweight(weighted, emb, cfg.chain_strength)
-    t2 = time.perf_counter() - t2_start
-
+    """Sample the assignment's scaled QUBO up the escalation ladder and score
+    the reads; ``run_hybrid`` reweighted it, in ``t2`` seconds, beforehand."""
     stages: list[SampleSet] = []
     for stage, budget in enumerate(cfg.sample_budgets):
         sampler_cfg = SamplerConfig(
@@ -334,6 +333,12 @@ def run_hybrid(
 ) -> BenchmarkRecord:
     """Embed once, then sample every assignment through the shared embedding.
 
+    The order is fixed here, so that doomed work stops before the exponential
+    classical pass: embed, unless ``embed_result`` is given (``EmbeddingFailed``
+    on failure); reweight each assignment once, timed as its ``t2``, refusing a
+    weight range the sampler cannot hold (``ValueError``); solve exactly,
+    unless ``baseline`` is given; then sample each stored QUBO.
+
     T_H charges the measured embedding time once; the paired standard total
     charges it once per assignment and is derived analytically, so the record
     satisfies T_std == T_H + (m - 1) * t_embed as written. Under an all-zero
@@ -351,12 +356,18 @@ def run_hybrid(
     emb = result.embedding
     if emb.physical != gp:
         raise ValueError("the embedding was made for another hardware graph")
+    emb.chain_edges  # derive the chain structure before any reweight is timed
+    reweighted = []
+    for i in range(inst.m):
+        t2_start = time.perf_counter()
+        q_scaled = reweight(inst.weighted(i), emb, cfg.chain_strength)
+        reweighted.append((q_scaled, time.perf_counter() - t2_start))
+        temperature_range(q_scaled)
     if baseline is None:
         baseline = run_classical(inst)
-
-    emb.chain_edges  # derive the chain structure before any assignment is timed
     outcomes = [
-        _solve_assignment(inst, i, emb, cfg, tm, baseline.values[i]) for i in range(inst.m)
+        _solve_assignment(inst.weighted(i), i, emb, cfg, tm, baseline.values[i], q, t2)
+        for i, (q, t2) in enumerate(reweighted)
     ]
 
     charged = 0.0 if tm.is_zero() else result.seconds
@@ -423,10 +434,7 @@ def ratios(record: BenchmarkRecord) -> tuple[float, float]:
         expected = 1.0 + (record.m - 1) * record.t_embed / record.T_H
         if not math.isclose(r_h, expected, rel_tol=1e-9, abs_tol=1e-12):
             raise RuntimeError(f"speedup identity violated: {r_h} vs {expected}")
-    if record.T_C is None:
-        raise ValueError("record carries no classical total")
-    r_c = record.T_H / record.T_C
-    return r_h, r_c
+    return r_h, record.T_H / record.T_C
 
 
 # ---------------------------------------------------------------------------

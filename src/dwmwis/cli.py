@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .annealer import TIMING_PROFILES, TimingModel, temperature_range, timing_profile
+from .annealer import TIMING_PROFILES, TimingModel, timing_profile
 from .bench import (
     BenchConfig,
     DwmwisInstance,
@@ -25,8 +25,6 @@ from .bench import (
     ratios,
     record_csv,
     record_summary,
-    reweight,
-    run_classical,
     run_hybrid,
     run_standard,
 )
@@ -183,15 +181,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             graph=graph, assignments=gen_weights(graph.n, args.m, args.seed), name=spec.label()
         )
 
-    # embed first: a failed embedding exits before the exponential classical pass
+    # run_hybrid fixes the run's order; the embedding is made here for --save-embedding
     embed_result = heuristic_embed(inst.graph, gp, seed=cfg.seed, max_tries=cfg.max_tries)
-    if embed_result.ok:
-        # and so does a weight range the sampler's schedule cannot hold
-        for i in range(inst.m):
-            temperature_range(reweight(inst.weighted(i), embed_result.embedding, cfg.chain_strength))
     try:
-        baseline = run_classical(inst) if embed_result.ok else None
-        record = run_hybrid(inst, gp, cfg, tm, baseline=baseline, embed_result=embed_result)
+        record = run_hybrid(inst, gp, cfg, tm, embed_result=embed_result)
         if args.reembed_each:
             record = run_standard(inst, gp, cfg, tm, paired=record)
     except EmbeddingFailed as exc:

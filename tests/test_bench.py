@@ -26,6 +26,7 @@ from dwmwis import (
     SampleSet,
     Unsolved,
     WeightedGraph,
+    bench,
     chimera,
     embed_qubo,
     embedding,
@@ -237,6 +238,20 @@ class TestPipelines:
             run_hybrid(inst, chimera(1), BenchConfig(seed=0, max_tries=2),
                        timing_profile("dwave2x"))
 
+    def test_weight_range_refused_before_any_solve_or_sample(self, monkeypatch, chip1):
+        # scaled to the unit range, the second assignment's light vertex sets
+        # a coldest temperature whose inverse overflows: the run stops there,
+        # before the exponential classical pass and before the first
+        # assignment is sampled
+        def never(*args):
+            raise AssertionError("ran before every weight range was checked")
+
+        monkeypatch.setattr(bench, "run_classical", never)
+        monkeypatch.setattr(bench, "sample", never)
+        inst = DwmwisInstance(Graph.from_edges(2, [(0, 1)]), [(1.0, 0.5), (1.0, 1e-310)])
+        with pytest.raises(ValueError, match="bad temperature range"):
+            run_hybrid(inst, chip1, BenchConfig(seed=0, sample_budgets=(4,), sweeps=2))
+
     def test_chains_are_checked_once_per_run(self, monkeypatch, tree_graph, chip1):
         result = heuristic_embed(tree_graph, chip1, seed=0)
         calls = []
@@ -388,11 +403,12 @@ class TestReports:
 
 # Runs in a fresh interpreter. The clock the timed regions read is wrapped:
 # a dwmwis frame's first read opens a region and its second closes it, and
-# the modules loaded in between are recorded for each region.
+# the modules loaded in between are recorded for each region. Each embedding
+# region also records whether its chip's cached adjacency was still unbuilt.
 _REGION_PROBE = """
 import json, sys, time
 
-clock, opened, regions = time.perf_counter, {}, []
+clock, opened, regions, cold_chips = time.perf_counter, {}, [], []
 
 def perf_counter():
     frame = sys._getframe(1)
@@ -400,21 +416,21 @@ def perf_counter():
         start = opened.pop(frame, None)
         if start is None:
             opened[frame] = set(sys.modules)
+            if frame.f_code.co_name == "heuristic_embed":
+                cold_chips.append("_adjacency" not in vars(frame.f_locals["gp"]))
         else:
             regions.append((frame.f_code.co_name, sorted(set(sys.modules) - start)))
     return clock()
 
 time.perf_counter = perf_counter
 from dwmwis import BenchConfig, DwmwisInstance, chimera, gen_weights, generate_family
-from dwmwis import FamilySpec, heuristic_embed, run_classical, run_hybrid, timing_profile
+from dwmwis import FamilySpec, run_hybrid, timing_profile
 
 graph = generate_family(FamilySpec("Cycle", (8,)))
 inst = DwmwisInstance(graph, gen_weights(graph.n, 2, seed=1))
 cfg = BenchConfig(seed=1, sample_budgets=(20,), sweeps=4)
-result = heuristic_embed(graph, chimera(2), seed=cfg.seed)
-baseline = run_classical(inst)
-run_hybrid(inst, chimera(2), cfg, timing_profile("dwave2x"), baseline=baseline, embed_result=result)
-print(json.dumps(regions))
+run_hybrid(inst, chimera(2), cfg, timing_profile("dwave2x"))
+print(json.dumps([regions, cold_chips]))
 """
 
 
@@ -429,8 +445,10 @@ def test_timed_regions_load_no_module():
     run = subprocess.run(
         [sys.executable, "-c", _REGION_PROBE], env=env, capture_output=True, text=True, check=True
     )
-    regions = json.loads(run.stdout.splitlines()[-1])
+    regions, cold_chips = json.loads(run.stdout.splitlines()[-1])
     assert {name for name, _ in regions} == {
-        "heuristic_embed", "run_classical", "solve_bip", "_solve_assignment"
+        "heuristic_embed", "run_classical", "solve_bip", "run_hybrid"
     }
     assert [(name, loaded) for name, loaded in regions if loaded] == []
+    # nor is a chip's cached adjacency built inside the embedding's clock
+    assert cold_chips == [False]

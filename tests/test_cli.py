@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dwmwis import cli
+from dwmwis import bench, cli
 from dwmwis.bench import UNSOLVED
 
 
@@ -104,7 +104,7 @@ class TestBench:
         def classical_pass(inst):
             raise AssertionError("the classical pass ran before the embedding")
 
-        monkeypatch.setattr(cli, "run_classical", classical_pass)
+        monkeypatch.setattr(bench, "run_classical", classical_pass)
         code = run_cli(
             "bench", "--family", "Grid", 12, 12, "--m", 1, "--chimera-k", 1,
             "--out", tmp_path / "g",
@@ -112,6 +112,23 @@ class TestBench:
         assert code == cli.EXIT_NO_EMBEDDING
         assert capsys.readouterr().err.startswith("error: embedding-failure:")
         assert not (tmp_path / "g").exists()
+
+    def test_each_assignment_is_reweighted_once(self, tmp_path, monkeypatch):
+        # the weight-range check reuses the reweighted QUBOs that are sampled
+        calls = []
+        embed_qubo = bench.embed_qubo
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return embed_qubo(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "embed_qubo", counted)
+        code = run_cli(
+            "bench", "--family", "Cycle", 8, "--m", 5, "--chimera-k", 2,
+            "--samples", 100, "--sweeps", 16, "--out", tmp_path / "c",
+        )
+        assert code == cli.EXIT_OK
+        assert len(calls) == 5
 
     def test_unsolved_exit_code(self, tree_instance, tmp_path, monkeypatch):
         import dwmwis.cli as cli_mod
@@ -188,7 +205,7 @@ class TestBench:
         def classical_pass(inst):
             raise AssertionError("the classical pass ran before the weight range was checked")
 
-        monkeypatch.setattr(cli, "run_classical", classical_pass)
+        monkeypatch.setattr(bench, "run_classical", classical_pass)
         instance = tmp_path / "tiny.json"
         instance.write_text('{"n": 2, "edges": [[0, 1]], "weights": [1.0, 1e-310]}')
         code = run_cli(
