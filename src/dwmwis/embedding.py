@@ -590,14 +590,22 @@ def _improve(gl: Graph, ws: _Workspace, chains: list[set[int]], rng: np.random.G
 
 
 def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> EmbedResult:
-    """Search for a minor embedding with randomised restarts.
+    """Search for a minor embedding with randomised restarts, then try the
+    chip's clique layout.
 
     Vertices are placed in descending degree order and routed to the chains of
     their already-placed neighbours along congestion-weighted shortest paths;
     improvement passes then try to shrink individual chains. The best attempt
-    (fewest physical qubits, earliest restart) wins. Failure after all
-    restarts is reported as a result, not an exception; the wall clock covers
-    the entire search.
+    (fewest physical qubits, earliest restart) wins. On a chip of ``8k^2``
+    qubits, a graph of ``0 < n <= 4k`` vertices then takes the first n chains
+    of the clique layout on the top-left ``ceil(n/4)`` blocks (see
+    ``clique_embedding``) when its ``n * (ceil(n/4) + 1)`` qubits are strictly
+    fewer than the best attempt's, or no attempt succeeded, and the layout
+    passes ``verify_embedding``. The layout holds any graph of n vertices and
+    draws no random numbers; where it cannot strictly win it is not built, so
+    those results are the search's alone. ``restarts`` counts search attempts
+    only. Failure is reported as a result, not an exception; the wall clock
+    covers the search and the layout.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
@@ -628,28 +636,44 @@ def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> 
             best, best_size = candidate, size
         if best_size == gl.n:
             break  # unit chains everywhere, provably minimal
+    k = math.isqrt(gp.n // 8)
+    blocks = -(-gl.n // 4)
+    if gp.n == 8 * k * k and 0 < gl.n <= 4 * k and gl.n * (blocks + 1) < best_size:
+        layout = Embedding(_clique_chains(k, gl.n), gp)
+        if verify_embedding(gl, gp, layout):
+            best = layout
     seconds = time.perf_counter() - t0
     return EmbedResult(embedding=best, seconds=seconds, restarts=restarts)
 
 
-def clique_embedding(k: int) -> Embedding:
-    """Deterministic embedding of the complete graph K_{4k} into chimera(k).
+def _clique_chains(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The first n chains of the clique layout on the top-left ``m x m``
+    blocks of chimera(k), ``m = ceil(n/4)``, each of m + 1 qubits.
 
-    Logical vertex ``4b + a`` occupies the column strip of unit ``a`` in block
-    column ``b`` (rows b..k-1, vertical side) plus the row strip of unit ``a``
-    in block row ``b`` (columns 0..b, horizontal side): an L-shaped chain of
-    k + 1 qubits meeting at the diagonal block, 4k(k+1) qubits in total.
+    Chain ``4b + a`` is the column strip of unit ``a`` in block column ``b``
+    (rows b..m-1, vertical side) plus the row strip of unit ``a`` in block row
+    ``b`` (columns 0..b, horizontal side): an L meeting at the diagonal block
+    (Boothby, King & Roy, arXiv:1507.04774). Chains ``4b + a`` and ``4c + e``,
+    b <= c, touch in block (c, b), so any graph on the n vertices embeds.
+    """
+    m = -(-n // 4)
+    chains = []
+    for t in range(n):
+        b, a = divmod(t, 4)
+        column = [chimera_index(k, r, b, 0, a) for r in range(b, m)]
+        row = [chimera_index(k, b, c, 1, a) for c in range(b + 1)]
+        chains.append(tuple(sorted(column + row)))
+    return tuple(chains)
+
+
+def clique_embedding(k: int) -> Embedding:
+    """Deterministic embedding of the complete graph K_{4k} into chimera(k):
+    the clique layout of ``_clique_chains`` on all k x k blocks, an L-shaped
+    chain of k + 1 qubits per vertex, 4k(k+1) qubits in total.
     """
     if k < 1:
         raise ValueError(f"clique embedding requires k >= 1, got {k}")
-    gp = chimera(k)
-    chains = []
-    for t in range(4 * k):
-        b, a = divmod(t, 4)
-        column = [chimera_index(k, r, b, 0, a) for r in range(b, k)]
-        row = [chimera_index(k, b, c, 1, a) for c in range(b + 1)]
-        chains.append(tuple(sorted(column + row)))
-    return Embedding(chains=tuple(chains), physical=gp)
+    return Embedding(chains=_clique_chains(k, 4 * k), physical=chimera(k))
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,23 @@ class TestBench:
         assert code == cli.EXIT_OK
         assert len(calls) == 5
 
+    def test_complete_8_saves_the_clique_layout(self, tmp_path):
+        # the search's best at seed 0 has 28 qubits; the layout has 24 in chains of 3
+        instance, saved = tmp_path / "k8.json", tmp_path / "emb.json"
+        assert run_cli("gen", "Complete", 8, "--m", 2, "--out", instance) == cli.EXIT_OK
+        code = run_cli(
+            "bench", "--family", "Complete", 8, "--m", 2, "--chimera-k", 4,
+            "--samples", 100, "--sweeps", 16, "--out", tmp_path / "run",
+            "--save-embedding", saved,
+        )
+        assert code in (cli.EXIT_OK, cli.EXIT_UNSOLVED)
+        verified = run_cli(
+            "verify", "--graph", instance, "--embedding", saved, "--chimera-k", 4
+        )
+        assert verified == cli.EXIT_OK
+        chains = json.loads(saved.read_text())["chains"]
+        assert len(chains) == 8 and all(len(chain) <= 3 for chain in chains.values())
+
     def test_unsolved_exit_code(self, tree_instance, tmp_path, monkeypatch):
         import dwmwis.cli as cli_mod
         from dataclasses import replace

@@ -169,7 +169,7 @@ class TestEmbedderPinned:
         [
             ("Cycle", (20,), "13e2f66dd8967518", 1),
             ("Star", (20,), "1b27184f4324f6b7", 8),
-            ("Complete", (8,), "0021930d527b8612", 8),
+            ("Complete", (8,), "56a465447ee9a309", 8),
             ("CompleteBipartite", (4, 4), "b5e695b078aa31d1", 8),
         ],
     )
@@ -183,7 +183,7 @@ class TestEmbedderPinned:
         [
             ("Cycle", (20,), "ee7540c215ad9d0d", 8),
             ("Star", (20,), "038ba6b7cf33f189", 8),
-            ("Complete", (8,), "72e755b406302c7d", 8),
+            ("Complete", (8,), "4ad11e3a8e62ae70", 8),
             ("CompleteBipartite", (4, 4), "8e4427e0409705c1", 7),
         ],
     )
@@ -670,6 +670,75 @@ class TestCliqueEmbedding:
         emb = clique_embedding(1)
         assert sorted(q for chain in emb.chains for q in chain) == list(range(8))
         assert emb.max_chain_length() == 2
+
+
+class TestCliqueLayout:
+    """``heuristic_embed`` takes the clique layout when it is strictly smaller
+    than every restart, and builds nothing where it cannot be."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_complete_graphs_fit_the_layout_bound(self, k):
+        gp = chimera(k)
+        for n in range(1, 4 * k + 1):
+            blocks = -(-n // 4)
+            g = Graph.from_edges(n, itertools.combinations(range(n), 2))
+            layout = Embedding(embedding._clique_chains(k, n), gp)
+            assert verify_embedding(g, gp, layout).ok, f"K{n} on chimera({k})"
+            assert [len(chain) for chain in layout.chains] == [blocks + 1] * n
+            result = heuristic_embed(g, gp, seed=0)
+            # a search that wins on qubits may still hold a longer chain
+            # (K6 here: 17 qubits, one chain of 6 or 7)
+            assert result.embedding.size() <= n * (blocks + 1), f"K{n} on chimera({k})"
+
+    def test_a_tie_keeps_the_search_chains(self, monkeypatch):
+        # K7 on chimera(4) at seed 0: the search's 21 qubits equal the layout's 7 * 3
+        layout = embedding._clique_chains(4, 7)
+
+        def unbuilt(k, n):
+            raise AssertionError("the layout was built where it cannot be smaller")
+
+        monkeypatch.setattr(embedding, "_clique_chains", unbuilt)
+        result = heuristic_embed(generate_family(FamilySpec("Complete", (7,))), chimera(4), seed=0)
+        assert result.embedding.size() == 21
+        assert result.embedding.chains != layout
+
+    def test_k16_on_chimera_4_embeds(self):
+        # every restart of the search fails here
+        g = generate_family(FamilySpec("Complete", (16,)))
+        result = heuristic_embed(g, chimera(4), seed=1)
+        assert result.ok and result.restarts == 8
+        assert result.embedding.size() == 80
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_full_layout_is_the_clique_embedding(self, k):
+        # on chimera(1) and (2) the search finds K4 and K8 in fewer qubits
+        g = generate_family(FamilySpec("Complete", (4 * k,)))
+        result = heuristic_embed(g, chimera(k), seed=0)
+        assert result.embedding.chains == clique_embedding(k).chains
+
+    def test_one_check_per_successful_restart(self, monkeypatch):
+        # where the layout cannot win, the search pays for nothing more
+        grown, checked = [], []
+        grow, verify = embedding._grow_attempt, embedding.verify_embedding
+
+        def counted_grow(*args):
+            chains = grow(*args)
+            grown.append(chains is not None)
+            return chains
+
+        def counted_verify(*args):
+            checked.append(1)
+            return verify(*args)
+
+        monkeypatch.setattr(embedding, "_grow_attempt", counted_grow)
+        monkeypatch.setattr(embedding, "verify_embedding", counted_verify)
+        cases = [(_criterion_4_graph(trial), trial) for trial in range(6)]
+        cases.append((generate_family(FamilySpec("Cycle", (20,))), 42))
+        for g, seed in cases:
+            grown.clear()
+            checked.clear()
+            assert heuristic_embed(g, chimera(12), seed=seed).ok
+            assert len(checked) == sum(grown) > 0
 
 
 class TestEmbedQubo:
