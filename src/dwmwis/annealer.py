@@ -52,26 +52,22 @@ class Unsolved(RuntimeError):
 class TimingModel:
     """Modeled wall-clock constants, all in seconds.
 
-    ``t_sample`` is one full anneal-readout-delay cycle. ``t_conv`` and
-    ``t_pre`` exist for completeness and default to zero; the benchmark adds
-    them per assignment. Each constant is at most a day, which keeps every
-    modeled total finite.
+    ``t_sample`` is one full anneal-readout-delay cycle. Each constant is at
+    most a day, which keeps every modeled total finite.
     """
 
     t_prog: float
     t_sample: float
     t_post: float
-    t_conv: float = 0.0
-    t_pre: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("t_prog", "t_sample", "t_post", "t_conv", "t_pre"):
+        for name in ("t_prog", "t_sample", "t_post"):
             value = getattr(self, name)
             if not 0.0 <= value <= _MAX_CONSTANT:
                 raise ValueError(f"{name} must be in [0, {_MAX_CONSTANT:g}] s, got {value}")
 
     def is_zero(self) -> bool:
-        return self.t_prog == self.t_sample == self.t_post == self.t_conv == self.t_pre == 0.0
+        return self.t_prog == self.t_sample == self.t_post == 0.0
 
     @classmethod
     def from_json(cls, text: str) -> "TimingModel":

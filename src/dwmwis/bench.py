@@ -7,9 +7,9 @@ embedding cost once per assignment; the classical pipeline solves every
 assignment exactly with the branch-and-bound baseline, building the
 constraint structure once. Per-assignment solver quality (success rate s and
 the repetition estimate k99) is measured by actually sampling; wall-clock
-totals combine the measured embedding time with the modeled processing
-constants, with the standard total derived analytically from the paired
-hybrid run so that T_std - T_H == (m - 1) * t_embed holds exactly.
+totals combine the measured embedding and reweighting times with the modeled
+processing constants, with the standard total derived analytically from the
+paired hybrid run so that T_std - T_H == (m - 1) * t_embed holds exactly.
 """
 
 from __future__ import annotations
@@ -323,6 +323,11 @@ def _solve_assignment(
     )
 
 
+def _assignments_charge(tm: TimingModel, outcomes) -> float:
+    """sum_i (t2_i + t_proc_i); the measured t2, like t_embed, unless tm is all zero."""
+    return math.fsum((0.0 if tm.is_zero() else o.t2_seconds) + o.t_proc for o in outcomes)
+
+
 def run_hybrid(
     inst: DwmwisInstance,
     gp: Graph,
@@ -339,11 +344,11 @@ def run_hybrid(
     weight range the sampler cannot hold (``ValueError``); solve exactly,
     unless ``baseline`` is given; then sample each stored QUBO.
 
-    T_H charges the measured embedding time once; the paired standard total
-    charges it once per assignment and is derived analytically, so the record
-    satisfies T_std == T_H + (m - 1) * t_embed as written. Under an all-zero
-    timing model the run is a pure solution-quality study and measured wall
-    clock is left out of the totals entirely.
+    T_H = t_embed + sum_i (t2_i + t_proc_i) charges the measured embedding
+    once and every measured reweighting; the paired standard total charges the
+    embedding once per assignment, so T_std == T_H + (m - 1) * t_embed holds
+    as written. Under an all-zero timing model the run is a pure quality study
+    and measured wall clock is left out of the totals entirely.
     """
     result = embed_result
     if result is None:
@@ -371,8 +376,7 @@ def run_hybrid(
     ]
 
     charged = 0.0 if tm.is_zero() else result.seconds
-    per_assignment = [tm.t_conv + tm.t_pre + o.t_proc for o in outcomes]
-    t_h = charged + math.fsum(per_assignment)
+    t_h = charged + _assignments_charge(tm, outcomes)
     t_std = t_h + (inst.m - 1) * charged
     return BenchmarkRecord(
         instance=inst.name,
@@ -401,8 +405,8 @@ def run_standard(
 
     The hybrid record already carries the analytic standard total. This path
     (``--reembed-each``) reruns the embedder for every assignment after the
-    first, reuses the paired record's samples, and replaces ``T_std`` with the
-    measured embedding times, for studies of embedding variance.
+    first, reuses the paired record's samples and t2, and replaces ``T_std``
+    with sum_i (t_embed_i + t2_i + t_proc_i), for studies of embedding variance.
     """
     times = [paired.measured_t_embed]
     for i in range(1, inst.m):
@@ -410,8 +414,7 @@ def run_standard(
         if not result.ok:
             raise EmbeddingFailed(f"re-embedding run {i} of {inst.name!r} failed")
         times.append(result.seconds)
-    per_assignment = [tm.t_conv + tm.t_pre + o.t_proc for o in paired.outcomes]
-    t_std = (0.0 if tm.is_zero() else math.fsum(times)) + math.fsum(per_assignment)
+    t_std = (0.0 if tm.is_zero() else math.fsum(times)) + _assignments_charge(tm, paired.outcomes)
     return replace(paired, T_std=t_std, t_embed_each=tuple(times))
 
 
@@ -426,10 +429,7 @@ def ratios(record: BenchmarkRecord) -> tuple[float, float]:
     unsolved = [o.index for o in record.outcomes if o.status != SOLVED]
     if unsolved:
         raise Unsolved(f"assignments {unsolved} are unsolved; ratios are unavailable")
-    if record.T_std == record.T_H:
-        r_h = 1.0
-    else:
-        r_h = record.T_std / record.T_H
+    r_h = 1.0 if record.T_std == record.T_H else record.T_std / record.T_H
     if record.t_embed_each is None and record.T_H > 0.0:
         expected = 1.0 + (record.m - 1) * record.t_embed / record.T_H
         if not math.isclose(r_h, expected, rel_tol=1e-9, abs_tol=1e-12):
@@ -463,10 +463,7 @@ def record_csv(record: BenchmarkRecord) -> str:
 def record_summary(record: BenchmarkRecord) -> str:
     """Instance-level JSON summary; wall-clock fields are listed explicitly so
     reproducibility checks know what to mask."""
-    if record.all_solved:
-        r_h, r_c = ratios(record)
-    else:
-        r_h = r_c = None
+    r_h, r_c = ratios(record) if record.all_solved else (None, None)
     doc = {
         "instance": record.instance,
         "n": record.n,

@@ -596,16 +596,17 @@ def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> 
     Vertices are placed in descending degree order and routed to the chains of
     their already-placed neighbours along congestion-weighted shortest paths;
     improvement passes then try to shrink individual chains. The best attempt
-    (fewest physical qubits, earliest restart) wins. On a chip of ``8k^2``
-    qubits, a graph of ``0 < n <= 4k`` vertices then takes the first n chains
-    of the clique layout on the top-left ``ceil(n/4)`` blocks (see
-    ``clique_embedding``) when its ``n * (ceil(n/4) + 1)`` qubits are strictly
-    fewer than the best attempt's, or no attempt succeeded, and the layout
-    passes ``verify_embedding``. The layout holds any graph of n vertices and
-    draws no random numbers; where it cannot strictly win it is not built, so
-    those results are the search's alone. ``restarts`` counts search attempts
-    only. Failure is reported as a result, not an exception; the wall clock
-    covers the search and the layout.
+    (fewest physical qubits, earliest restart) wins; the first to reach the
+    floor, the sum of every vertex's ``_chain_floor``, stops the restarts, and
+    a floor above the chip's size runs none. On a chip of ``8k^2`` qubits, a
+    graph of ``0 < n <= 4k`` vertices then takes the first n chains of the
+    clique layout on the top-left ``ceil(n/4)`` blocks (see ``clique_embedding``)
+    when its ``n * (ceil(n/4) + 1)`` qubits are strictly fewer than the best
+    attempt's, or no attempt succeeded, and the layout passes
+    ``verify_embedding``. The layout holds any graph of n vertices and draws no
+    random numbers; where it cannot strictly win it is not built, so those
+    results are the search's alone. ``restarts`` counts search attempts only.
+    Failure is a result, not an exception; the clock covers search and layout.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
@@ -615,13 +616,13 @@ def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> 
     default_rng = np.random.default_rng
     adj = [sorted(s) for s in gp.adjacency()]
     t0 = time.perf_counter()
+    chip_degree = max(map(len, adj), default=0)
+    floor = sum(_chain_floor(len(nbrs), chip_degree) for nbrs in gl.adjacency())
     best: Embedding | None = None
     best_size = math.inf
     restarts = 0
-    for attempt in range(max_tries):
+    for attempt in range(max_tries if floor <= gp.n else 0):
         restarts += 1
-        if gl.n > gp.n:
-            break
         rng = default_rng((seed, attempt))
         ws = _Workspace(adj, jitter=rng.random(gp.n))
         chains = _grow_attempt(gl, ws, rng)
@@ -634,8 +635,8 @@ def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> 
         size = candidate.size()
         if size < best_size:
             best, best_size = candidate, size
-        if best_size == gl.n:
-            break  # unit chains everywhere, provably minimal
+        if best_size == floor:
+            break  # provably minimal
     k = math.isqrt(gp.n // 8)
     blocks = -(-gl.n // 4)
     if gp.n == 8 * k * k and 0 < gl.n <= 4 * k and gl.n * (blocks + 1) < best_size:
@@ -644,6 +645,12 @@ def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> 
             best = layout
     seconds = time.perf_counter() - t0
     return EmbedResult(embedding=best, seconds=seconds, restarts=restarts)
+
+
+def _chain_floor(degree: int, chip_degree: int) -> int:
+    """Fewest qubits in a vertex's chain: at most (D - 2)L + 2 couplers leave a
+    chain of L qubits on a chip of maximum degree D > 2, one per neighbour."""
+    return max(1, -(-(degree - 2) // (chip_degree - 2))) if chip_degree > 2 else 1
 
 
 def _clique_chains(k: int, n: int) -> tuple[tuple[int, ...], ...]:

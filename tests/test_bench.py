@@ -220,13 +220,24 @@ class TestPipelines:
         assert len(redone.t_embed_each) == inst.m
         assert redone.T_std > 0.0
 
+    def test_totals_charge_each_measured_reweighting(self, small_run, chip1):
+        inst, cfg, tm, record = small_run
+        assert all(o.t2_seconds > 0.0 for o in record.outcomes)
+        charge = math.fsum(o.t2_seconds + o.t_proc for o in record.outcomes)
+        assert record.T_H == record.t_embed + charge
+        redone = run_standard(inst, chip1, cfg, tm, paired=record)
+        assert redone.T_std == math.fsum(redone.t_embed_each) + charge
+
     def test_zero_profile_is_quality_only(self, tree_graph, chip1):
         inst = DwmwisInstance(tree_graph, gen_weights(5, 3, seed=4))
-        record = run_hybrid(inst, chip1, BenchConfig(seed=0, sample_budgets=(200,)),
-                            timing_profile("zero"))
+        cfg, tm = BenchConfig(seed=0, sample_budgets=(200,)), timing_profile("zero")
+        record = run_hybrid(inst, chip1, cfg, tm)
         assert record.T_H == record.T_std == 0.0
         assert record.t_embed == 0.0
         assert record.measured_t_embed > 0.0
+        # the measured reweighting is left out as well, by both pipelines
+        assert all(o.t2_seconds > 0.0 for o in record.outcomes)
+        assert run_standard(inst, chip1, cfg, tm, paired=record).T_std == 0.0
         r_h, r_c = ratios(record)
         assert r_h == 1.0
         assert r_c == 0.0

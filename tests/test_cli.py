@@ -198,6 +198,19 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error: input-error:") and err.count("\n") == 1
 
+    def test_three_constant_timing_profile_runs(self, tree_instance, tmp_path):
+        profile = tmp_path / "profile.json"
+        profile.write_text('{"t_prog": 0.02, "t_sample": 0.0004, "t_post": 0.02}')
+        out = tmp_path / "o"
+        code = run_cli(
+            "bench", "--graph", tree_instance, "--chimera-k", 1, "--timing-profile", profile,
+            "--seed", 1, "--samples", 200, "--out", out,
+        )
+        assert code == cli.EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["T_std"] == summary["T_H"] + (summary["m"] - 1) * summary["t_embed"]
+        assert summary["T_H"] >= summary["t_embed"] + summary["t2_total"] > summary["t_embed"]
+
     def test_timing_profile_directory(self, tree_instance, tmp_path):
         code = run_cli(
             "bench", "--graph", tree_instance, "--timing-profile", tmp_path,
@@ -321,6 +334,15 @@ MALFORMED = {
     "timing-constant-string": (
         ["bench", "--graph", "{instance}", "--timing-profile", "{doc}"],
         '{"t_prog": 0.02, "t_sample": "0.001", "t_post": 0.02}',
+    ),
+    # the per-assignment constants that the measured reweighting replaced
+    "timing-constant-t-conv": (
+        ["bench", "--graph", "{instance}", "--timing-profile", "{doc}"],
+        '{"t_prog": 0.02, "t_sample": 0.0004, "t_post": 0.02, "t_conv": 0.0}',
+    ),
+    "timing-constant-t-pre": (
+        ["bench", "--graph", "{instance}", "--timing-profile", "{doc}"],
+        '{"t_prog": 0.02, "t_sample": 0.0004, "t_post": 0.02, "t_pre": 0.0}',
     ),
     # finite constants whose modeled totals overflow to infinity
     "timing-constant-huge": (
