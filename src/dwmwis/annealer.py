@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -66,26 +66,30 @@ class TimingModel:
             if not 0.0 <= value <= _MAX_CONSTANT:
                 raise ValueError(f"{name} must be in [0, {_MAX_CONSTANT:g}] s, got {value}")
 
-    def is_zero(self) -> bool:
-        return self.t_prog == self.t_sample == self.t_post == 0.0
-
     @classmethod
     def from_json(cls, text: str) -> "TimingModel":
-        """Parse a JSON object of constants; a malformed document raises ValueError."""
+        """Parse a JSON object of the three constants; a malformed document raises ValueError."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("timing profile must be a JSON object of constants")
+        names = [f.name for f in fields(cls)]
+        unknown = [key for key in obj if key not in names]
+        missing = [name for name in names if name not in obj]
+        if unknown or missing:
+            problem = f"{'unknown' if unknown else 'missing'} constant {(unknown or missing)[0]!r}"
+            raise ValueError(f"timing profile: {problem}; a profile holds exactly t_prog, t_sample "
+                             "and t_post (the measured reweighting t2 replaced t_conv and t_pre)")
         for key, value in obj.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"timing profile: {key!r} must be a number, got {value!r}")
         try:
             return cls(**{k: float(v) for k, v in obj.items()})
-        except (TypeError, OverflowError) as exc:  # bad or missing key, huge int
+        except OverflowError as exc:  # an integer beyond the float range
             raise ValueError(f"timing profile: {exc}") from None
 
 
 # dwave2x: 20 ms programming, 380.2 us per anneal-readout-delay cycle, and a
-# flat 20 ms post-processing overhead per instance. zero: quality-only runs.
+# flat 20 ms post-processing overhead per instance. zero: a free annealer.
 TIMING_PROFILES = {
     "dwave2x": TimingModel(t_prog=20e-3, t_sample=380.2e-6, t_post=20e-3),
     "zero": TimingModel(t_prog=0.0, t_sample=0.0, t_post=0.0),

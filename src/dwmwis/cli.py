@@ -98,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--chain-strength", type=_chain_strength, default="auto")
     bench.add_argument("--timing-profile", default="dwave2x",
                        help=f"one of {sorted(TIMING_PROFILES)} or a JSON file of constants")
-    bench.add_argument("--p", type=float, default=0.99, help="target success confidence")
     bench.add_argument("--out", type=Path, default=Path("bench-out"))
     bench.add_argument("--reembed-each", action="store_true",
                        help="measure a real embedder run per assignment for the standard total")
@@ -160,7 +159,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg = BenchConfig(
         seed=args.seed,
         sample_budgets=(args.samples, args.samples, 2 * args.samples, 2 * args.samples),
-        p=args.p,
         sweeps=args.sweeps,
         chain_strength=args.chain_strength,
         max_tries=args.max_tries,
@@ -186,7 +184,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         record = run_hybrid(inst, gp, cfg, tm, embed_result=embed_result)
         if args.reembed_each:
-            record = run_standard(inst, gp, cfg, tm, paired=record)
+            record = run_standard(inst, gp, cfg, paired=record)
     except EmbeddingFailed as exc:
         print(f"error: embedding-failure: {exc}", file=sys.stderr)
         return EXIT_NO_EMBEDDING

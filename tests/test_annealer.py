@@ -463,6 +463,25 @@ class TestTimingModel:
         tm = TimingModel.from_json('{"t_prog": 0.01, "t_sample": 1e-4, "t_post": 0.0}')
         assert tm == TimingModel(t_prog=0.01, t_sample=1e-4, t_post=0.0)
 
+    @pytest.mark.parametrize(
+        "document, problem",
+        [
+            ('{"t_prog": 0.02, "t_sample": 0.0004, "t_post": 0.02, "t_conv": 0.0}',
+             "unknown constant 't_conv'"),
+            ('{"t_prog": 0.02, "t_pre": 0.0, "t_sample": 0.0004, "t_post": 0.02}',
+             "unknown constant 't_pre'"),
+            ('{"t_prog": 0.02, "t_sample": 0.0004}', "missing constant 't_post'"),
+        ],
+        ids=["t-conv", "t-pre", "missing-t-post"],
+    )
+    def test_json_names_the_key_and_the_three_constants(self, document, problem):
+        with pytest.raises(ValueError) as exc:
+            TimingModel.from_json(document)
+        assert str(exc.value) == (
+            f"timing profile: {problem}; a profile holds exactly t_prog, t_sample and t_post "
+            "(the measured reweighting t2 replaced t_conv and t_pre)"
+        )
+
 
 class TestSampleSet:
     def test_merge_sums_parts(self):

@@ -24,6 +24,7 @@ from dwmwis import (
     Reads,
     SamplerConfig,
     SampleSet,
+    TimingModel,
     Unsolved,
     WeightedGraph,
     bench,
@@ -81,7 +82,6 @@ def synthetic_record(m=2, t_embed=0.1, t_procs=(0.03, 0.04), t_c=0.5):
         m=m,
         outcomes=outcomes,
         t_embed=t_embed,
-        measured_t_embed=t_embed,
         embed_restarts=1,
         embedded_order=5,
         max_chain_length=1,
@@ -215,32 +215,37 @@ class TestPipelines:
 
     def test_reembed_each_measures_every_run(self, small_run, chip1):
         inst, cfg, tm, record = small_run
-        redone = run_standard(inst, chip1, cfg, tm, paired=record)
+        redone = run_standard(inst, chip1, cfg, paired=record)
         assert redone.t_embed_each is not None
         assert len(redone.t_embed_each) == inst.m
         assert redone.T_std > 0.0
 
-    def test_totals_charge_each_measured_reweighting(self, small_run, chip1):
-        inst, cfg, tm, record = small_run
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            timing_profile("dwave2x"),
+            timing_profile("zero"),
+            TimingModel.from_json('{"t_prog": 0, "t_sample": 0, "t_post": 0}'),
+        ],
+        ids=["dwave2x", "zero", "all-zero-file"],
+    )
+    def test_one_charge_rule_for_every_profile(self, tree_graph, chip1, profile):
+        # one rule for every profile: an all-zero one zeroes the modeled
+        # t_proc_i, never the measured embedding search or reweighting
+        inst = DwmwisInstance(tree_graph, gen_weights(5, 3, seed=4))
+        cfg = BenchConfig(seed=0, sample_budgets=(200,))
+        record = run_hybrid(inst, chip1, cfg, profile)
+        assert record.t_embed > 0.0
         assert all(o.t2_seconds > 0.0 for o in record.outcomes)
         charge = math.fsum(o.t2_seconds + o.t_proc for o in record.outcomes)
         assert record.T_H == record.t_embed + charge
-        redone = run_standard(inst, chip1, cfg, tm, paired=record)
+        assert record.T_std == record.T_H + (record.m - 1) * record.t_embed
+        summary = json.loads(record_summary(record))
+        assert summary["T_H"] >= summary["t_embed"] + summary["t2_total"]
+        assert summary["R_H"] > 1.0
+        redone = run_standard(inst, chip1, cfg, paired=record)
+        assert redone.t_embed_each[0] == record.t_embed
         assert redone.T_std == math.fsum(redone.t_embed_each) + charge
-
-    def test_zero_profile_is_quality_only(self, tree_graph, chip1):
-        inst = DwmwisInstance(tree_graph, gen_weights(5, 3, seed=4))
-        cfg, tm = BenchConfig(seed=0, sample_budgets=(200,)), timing_profile("zero")
-        record = run_hybrid(inst, chip1, cfg, tm)
-        assert record.T_H == record.T_std == 0.0
-        assert record.t_embed == 0.0
-        assert record.measured_t_embed > 0.0
-        # the measured reweighting is left out as well, by both pipelines
-        assert all(o.t2_seconds > 0.0 for o in record.outcomes)
-        assert run_standard(inst, chip1, cfg, tm, paired=record).T_std == 0.0
-        r_h, r_c = ratios(record)
-        assert r_h == 1.0
-        assert r_c == 0.0
 
     def test_embedding_failure_raises(self):
         k9 = generate_family(FamilySpec("Complete", (9,)))

@@ -80,7 +80,8 @@ class TestBench:
         assert summary["solved"] + summary["unsolved"] == 2
         assert len((out / "assignments.csv").read_text().strip().splitlines()) == 1 + 2
 
-    def test_zero_profile_gives_unit_hybrid_ratio(self, tree_instance, tmp_path):
+    def test_zero_profile_charges_the_measured_overheads(self, tree_instance, tmp_path):
+        # a free annealer: T_H is the measured search and reweightings alone
         out = tmp_path / "zero"
         code = run_cli(
             "bench", "--graph", tree_instance, "--chimera-k", 1,
@@ -88,8 +89,10 @@ class TestBench:
         )
         assert code == cli.EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["T_H"] == summary["T_std"] == 0.0
-        assert summary["R_H"] == 1.0
+        assert "measured_t_embed" not in summary
+        assert summary["T_H"] == summary["t_embed"] + summary["t2_total"] > summary["t_embed"] > 0.0
+        assert summary["T_std"] == summary["T_H"] + (summary["m"] - 1) * summary["t_embed"]
+        assert summary["R_H"] > 1.0
 
     def test_embedding_failure_exit_code(self, tmp_path):
         code = run_cli(
@@ -97,6 +100,19 @@ class TestBench:
             "--max-tries", 1, "--out", tmp_path / "x",
         )
         assert code == cli.EXIT_NO_EMBEDDING
+
+    def test_floor_above_the_chip_says_no_embedding_can_exist(self, tmp_path, capsys):
+        # on chimera(1), of degree 4, Star(7)'s hub needs a chain of 3 qubits,
+        # so the floor is 10 of the 8 qubits: no restart runs, and more
+        # --max-tries cannot help
+        code = run_cli("bench", "--family", "Star", 7, "--chimera-k", 1, "--out", tmp_path / "s")
+        assert code == cli.EXIT_NO_EMBEDDING
+        err = capsys.readouterr().err
+        assert err == (
+            "error: embedding-failure: no embedding of 'Star(7)' (8 vertices) into the 8-qubit "
+            "hardware graph can exist: its chains need more qubits than the chip has\n"
+        )
+        assert not (tmp_path / "s").exists()
 
     def test_embedding_failure_exits_before_classical_pass(self, tmp_path, capsys, monkeypatch):
         # 144 vertices cannot fit on 8 qubits; the exact B&B on Grid(12,12)
@@ -222,11 +238,17 @@ class TestBench:
         code = run_cli("bench", "--graph", tmp_path / "nope.json", "--out", tmp_path / "o")
         assert code == cli.EXIT_INPUT
 
-    def test_bad_confidence(self, tree_instance, tmp_path):
+    def test_p_is_refused(self, tree_instance, tmp_path, capsys):
+        # every report calls its estimate k99, so the confidence is fixed at 0.99
         code = run_cli(
-            "bench", "--graph", tree_instance, "--p", 1.5, "--out", tmp_path / "o"
+            "bench", "--graph", tree_instance, "--p", 0.9, "--out", tmp_path / "o"
         )
         assert code == cli.EXIT_INPUT
+        assert "unrecognized arguments: --p 0.9" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert bench.BenchConfig.p == bench.BenchConfig().p == 0.99
+        with pytest.raises(TypeError):
+            bench.BenchConfig(p=0.9)
 
     def test_weight_range_beyond_the_schedule_exits_4(self, tmp_path, capsys, monkeypatch):
         # scaled to the unit range, the light vertex's coefficient sets a
@@ -387,7 +409,7 @@ MALFORMED = {
         ["verify", "--graph", "{instance}", "--embedding", "{file}", "--chimera-k", "0"], None
     ),
     "max-tries-0": (["bench", "--graph", "{instance}", "--max-tries", "0"], None),
-    "p-above-1": (["bench", "--graph", "{instance}", "--p", "1.5"], None),
+    "p-is-refused": (["bench", "--graph", "{instance}", "--p", "0.9"], None),
     "family-parameter-not-an-integer": (["bench", "--family", "Cycle", "x"], None),
     "family-parameter-out-of-range": (["bench", "--family", "Cycle", "2"], None),
 }
