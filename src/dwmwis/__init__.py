@@ -34,7 +34,6 @@ from .embedding import (
     EmbedResult,
     Embedding,
     EmbeddingCheck,
-    clique_embedding,
     embed_qubo,
     heuristic_embed,
     unembed,

@@ -353,8 +353,9 @@ def run_hybrid(
         result = heuristic_embed(inst.graph, gp, seed=cfg.seed, max_tries=cfg.max_tries)
     if not result.ok:
         # the search runs no restart only when its proven floor exceeds the chip
-        reason = (f"after {result.restarts} restarts" if result.restarts
-                  else "can exist: its chains need more qubits than the chip has")
+        reason = ("can exist: its chains need more qubits than the chip has" if not result.restarts
+                  else "after 1 restart" if result.restarts == 1
+                  else f"after {result.restarts} restarts")
         raise EmbeddingFailed(
             f"no embedding of {inst.name!r} ({inst.n} vertices) into the "
             f"{gp.n}-qubit hardware graph {reason}"

@@ -64,7 +64,12 @@ def _chain_strength(text: str) -> float | None:
 
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as input errors (exit 4): argparse's own exit 2
-    would read as a benchmark with unsolved assignments."""
+    would read as a benchmark with unsolved assignments. Options take no
+    abbreviation (``--samp`` is refused), here and in every subcommand, whose
+    parsers are this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise InputError(message)
@@ -90,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src = bench.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", type=Path, help="instance file")
     src.add_argument("--family", nargs="+", help="family name plus parameters, e.g. Cycle 20")
-    bench.add_argument("--m", type=_count, default=100, help="assignments when using --family")
+    bench.add_argument("--m", type=_count, help="assignments with --family (default 100)")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--samples", type=int, default=1000, help="base per-stage sample budget")
     bench.add_argument("--sweeps", type=int, default=None)
@@ -155,6 +160,8 @@ def _timing(profile: str) -> TimingModel:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.graph is not None and args.m is not None:
+        raise InputError("--m applies to --family only; an instance file holds its assignments")
     # the settings are checked before the instance is built: a large --family is work too
     cfg = BenchConfig(
         seed=args.seed,
@@ -176,7 +183,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         spec = FamilySpec(args.family[0], tuple(args.family[1:]))
         graph = generate_family(spec)
         inst = DwmwisInstance(
-            graph=graph, assignments=gen_weights(graph.n, args.m, args.seed), name=spec.label()
+            graph=graph, assignments=gen_weights(graph.n, args.m or 100, args.seed),
+            name=spec.label(),
         )
 
     # run_hybrid fixes the run's order; the embedding is made here for --save-embedding

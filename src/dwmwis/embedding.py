@@ -36,7 +36,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .annealer import Reads
-from .graphs import Graph, WeightedGraph, chimera, chimera_index
+from .graphs import Graph, WeightedGraph, chimera_index
 from .qubo import QuboMatrix
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "EmbedResult",
     "verify_embedding",
     "heuristic_embed",
-    "clique_embedding",
     "embed_qubo",
     "unembed",
 ]
@@ -600,7 +599,7 @@ def heuristic_embed(gl: Graph, gp: Graph, seed: int = 0, max_tries: int = 8) -> 
     floor, the sum of every vertex's ``_chain_floor``, stops the restarts, and
     a floor above the chip's size runs none. On a chip of ``8k^2`` qubits, a
     graph of ``0 < n <= 4k`` vertices then takes the first n chains of the
-    clique layout on the top-left ``ceil(n/4)`` blocks (see ``clique_embedding``)
+    clique layout on the top-left ``ceil(n/4)`` blocks (``_clique_chains``)
     when its ``n * (ceil(n/4) + 1)`` qubits are strictly fewer than the best
     attempt's, or no attempt succeeded, and the layout passes
     ``verify_embedding``. The layout holds any graph of n vertices and draws no
@@ -671,16 +670,6 @@ def _clique_chains(k: int, n: int) -> tuple[tuple[int, ...], ...]:
         row = [chimera_index(k, b, c, 1, a) for c in range(b + 1)]
         chains.append(tuple(sorted(column + row)))
     return tuple(chains)
-
-
-def clique_embedding(k: int) -> Embedding:
-    """Deterministic embedding of the complete graph K_{4k} into chimera(k):
-    the clique layout of ``_clique_chains`` on all k x k blocks, an L-shaped
-    chain of k + 1 qubits per vertex, 4k(k+1) qubits in total.
-    """
-    if k < 1:
-        raise ValueError(f"clique embedding requires k >= 1, got {k}")
-    return Embedding(chains=_clique_chains(k, 4 * k), physical=chimera(k))
 
 
 # ---------------------------------------------------------------------------

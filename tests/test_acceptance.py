@@ -19,13 +19,14 @@ import pytest
 from dwmwis import (
     BenchConfig,
     DwmwisInstance,
+    Embedding,
     FamilySpec,
     WeightedGraph,
     build_constraints,
     chimera,
     cli,
-    clique_embedding,
     embed_qubo,
+    embedding,
     gen_weights,
     generate_family,
     heuristic_embed,
@@ -116,7 +117,8 @@ def test_criterion_2_reduction_oracle_equivalence():
 def test_criterion_3_clique_embeddings():
     with criterion(3, "constructive clique embeddings for k = 1..4"):
         for k in (1, 2, 3, 4):
-            emb = clique_embedding(k)
+            # the layout heuristic_embed takes for dense graphs, on all k x k blocks
+            emb = Embedding(embedding._clique_chains(k, 4 * k), chimera(k))
             clique = generate_family(FamilySpec("Complete", (4 * k,)))
             assert verify_embedding(clique, emb.physical, emb).ok
             assert emb.size() == 4 * k * (k + 1)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwmwis import (
     FamilySpec,
@@ -256,6 +259,17 @@ def _check_optimal(g, weights, solution, optimum_hundredths):
     assert sum(hundredths([weights[v] for v in solution.vertices])) == optimum_hundredths
 
 
+@st.composite
+def tie_heavy_instances(draw) -> tuple[Graph, tuple[float, ...]]:
+    """A graph of at most 14 vertices with every weight 1.0 or 2.0: most have
+    several co-optimal sets, so the tie-breaks decide which one is returned."""
+    n = draw(st.integers(1, 14))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weights = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k]), tuple(weights)
+
+
 class TestAgainstReference:
     """A valid bound prunes only branches that cannot replace the best, so
     value and set, ties included, equal those of the trivially bounded
@@ -271,6 +285,14 @@ class TestAgainstReference:
         weights = tuple(float(k) / 100 for k in rng.integers(1, top, size=n))
         solution = solve_bip(build_constraints(g), weights)
         assert (solution.value, solution.vertices) == solve_bip_reference(g, weights)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(tie_heavy_instances())
+    def test_tie_heavy_weights(self, instance):
+        g, weights = instance
+        solution = solve_bip(build_constraints(g), weights)
+        assert (solution.value, solution.vertices) == solve_bip_reference(g, weights)
+        assert solution.value == brute_force_mwis(WeightedGraph(g, weights))[1]
 
     @pytest.mark.parametrize(
         "family,params", [("Grid", (5, 5)), ("Star", (12,)), ("Complete", (7,))]

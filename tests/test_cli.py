@@ -114,6 +114,20 @@ class TestBench:
         )
         assert not (tmp_path / "s").exists()
 
+    def test_search_that_gives_up_names_its_restarts(self, tmp_path, capsys):
+        # Hypercube(4)'s floor, 16 qubits, fits chimera(2)'s 32, so the search
+        # runs; its one restart at seed 3 fails
+        code = run_cli(
+            "bench", "--family", "Hypercube", 4, "--m", 1, "--seed", 3, "--chimera-k", 2,
+            "--max-tries", 1, "--out", tmp_path / "h",
+        )
+        assert code == cli.EXIT_NO_EMBEDDING
+        assert capsys.readouterr().err == (
+            "error: embedding-failure: no embedding of 'Hypercube(4)' (16 vertices) into the "
+            "32-qubit hardware graph after 1 restart\n"
+        )
+        assert not (tmp_path / "h").exists()
+
     def test_embedding_failure_exits_before_classical_pass(self, tmp_path, capsys, monkeypatch):
         # 144 vertices cannot fit on 8 qubits; the exact B&B on Grid(12,12)
         # would run for hours, so it must never start
@@ -401,6 +415,11 @@ MALFORMED = {
     "gen-m-0": (["gen", "Cycle", "5", "--m", "0"], None),
     "gen-seed-negative": (["gen", "Cycle", "5", "--seed", "-1"], None),
     "m-0-with-graph": (["bench", "--graph", "{instance}", "--m", "0"], None),
+    # an instance file holds its own assignments, so --m would be ignored
+    "m-with-graph": (["bench", "--graph", "{instance}", "--m", "2"], None),
+    # each option has one spelling: no prefix stands for it
+    "samples-abbreviated": (["bench", "--graph", "{instance}", "--samp", "10"], None),
+    "timing-profile-abbreviated": (["bench", "--graph", "{instance}", "--timing", "zero"], None),
     "seed-negative": (["bench", "--graph", "{instance}", "--seed", "-1"], None),
     "samples-0": (["bench", "--graph", "{instance}", "--samples", "0"], None),
     "sweeps-0": (["bench", "--graph", "{instance}", "--sweeps", "0"], None),

@@ -6,6 +6,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from dwmwis import (
     WeightedGraph,
     chimera,
     chimera_index,
-    clique_embedding,
     embed_qubo,
     generate_family,
     heuristic_embed,
@@ -715,17 +715,22 @@ class TestImproveSkips:
             assert (a.embedding, a.restarts) == (b.embedding, b.restarts), f"case {case}"
 
 
+def full_clique_layout(k: int) -> Embedding:
+    """The clique layout on all k x k blocks, as ``heuristic_embed`` builds it."""
+    return Embedding(embedding._clique_chains(k, 4 * k), chimera(k))
+
+
 class TestCliqueEmbedding:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_size_chains_and_validity(self, k):
-        emb = clique_embedding(k)
+        emb = full_clique_layout(k)
         assert emb.size() == 4 * k * (k + 1)
         assert all(len(chain) == k + 1 for chain in emb.chains)
         clique = generate_family(FamilySpec("Complete", (4 * k,)))
         assert verify_embedding(clique, emb.physical, emb).ok
 
     def test_k1_uses_all_eight_qubits(self):
-        emb = clique_embedding(1)
+        emb = full_clique_layout(1)
         assert sorted(q for chain in emb.chains for q in chain) == list(range(8))
         assert emb.max_chain_length() == 2
 
@@ -747,6 +752,27 @@ class TestCliqueLayout:
             # a search that wins on qubits may still hold a longer chain
             # (K6 here: 17 qubits, one chain of 6 or 7)
             assert result.embedding.size() <= n * (blocks + 1), f"K{n} on chimera({k})"
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        kn=st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, 4 * k))),
+        density=st.sampled_from([0.2, 0.5, 0.8, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_layout_holds_any_graph_and_wins_only_when_smaller(self, kn, density, seed):
+        k, n = kn
+        gp = chimera(k)
+        g = random_graph(n, density, np.random.default_rng(seed))
+        layout = Embedding(embedding._clique_chains(k, n), gp)
+        assert verify_embedding(g, gp, layout).ok
+        assert layout.size() == n * (-(-n // 4) + 1)
+        result = heuristic_embed(g, gp, seed=seed % 5, max_tries=2)
+        # the search alone: a layout whose chains share a qubit never passes the check
+        with mock.patch.object(embedding, "_clique_chains", lambda k, n: ((0,),) * n):
+            search = heuristic_embed(g, gp, seed=seed % 5, max_tries=2).embedding
+        assert result.embedding.size() <= layout.size()
+        wins = search is None or layout.size() < search.size()
+        assert result.embedding.chains == (layout if wins else search).chains
 
     def test_a_tie_keeps_the_search_chains(self, monkeypatch):
         # K7 on chimera(4) at seed 0: the search's 21 qubits equal the layout's 7 * 3
@@ -772,7 +798,7 @@ class TestCliqueLayout:
         # on chimera(1) and (2) the search finds K4 and K8 in fewer qubits
         g = generate_family(FamilySpec("Complete", (4 * k,)))
         result = heuristic_embed(g, chimera(k), seed=0)
-        assert result.embedding.chains == clique_embedding(k).chains
+        assert result.embedding.chains == full_clique_layout(k).chains
 
     def test_one_check_per_successful_restart(self, monkeypatch):
         # where the layout cannot win, the search pays for nothing more
