@@ -49,7 +49,6 @@ from .graphs import (
     chimera_index,
     generate_family,
     instance_to_json,
-    parse_graph,
     parse_instance,
     selection_weight,
 )

@@ -69,7 +69,10 @@ class TimingModel:
     @classmethod
     def from_json(cls, text: str) -> "TimingModel":
         """Parse a JSON object of the three constants; a malformed document raises ValueError."""
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"timing profile: invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise ValueError("timing profile must be a JSON object of constants")
         names = [f.name for f in fields(cls)]

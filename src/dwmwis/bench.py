@@ -114,9 +114,8 @@ class DwmwisInstance:
 
     @classmethod
     def from_json(cls, text: str, name: str = "instance") -> "DwmwisInstance":
-        weighted, assignments = parse_instance(text)
-        vectors = tuple(assignments) if assignments else (weighted.weights,)
-        return cls(graph=weighted.graph, assignments=vectors, name=name)
+        graph, assignments = parse_instance(text)
+        return cls(graph=graph, assignments=assignments, name=name)
 
 
 def gen_weights(n: int, m: int, seed: int) -> tuple[tuple[float, ...], ...]:

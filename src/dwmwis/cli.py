@@ -32,11 +32,10 @@ from .embedding import Embedding, heuristic_embed, verify_embedding
 from .graphs import (
     FAMILIES,
     FamilySpec,
-    WeightedGraph,
     chimera,
     generate_family,
     instance_to_json,
-    parse_graph,
+    parse_instance,
 )
 
 EXIT_OK = 0
@@ -92,7 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(run=cmd_gen)
 
     bench = sub.add_parser("bench", help="run the hybrid, standard and classical pipelines")
-    src = bench.add_mutually_exclusive_group(required=True)
+    # not required here, or argparse would report --grap as a missing --graph
+    src = bench.add_mutually_exclusive_group()
     src.add_argument("--graph", type=Path, help="instance file")
     src.add_argument("--family", nargs="+", help="family name plus parameters, e.g. Cycle 20")
     bench.add_argument("--m", type=_count, help="assignments with --family (default 100)")
@@ -111,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(run=cmd_bench)
 
     verify = sub.add_parser("verify", help="check an embedding file against an instance")
-    verify.add_argument("--graph", type=Path, required=True)
-    verify.add_argument("--embedding", type=Path, required=True)
+    verify.add_argument("--graph", type=Path)
+    verify.add_argument("--embedding", type=Path)
     verify.add_argument("--chimera-k", type=int, default=4)
     verify.set_defaults(run=cmd_verify)
     return parser
@@ -139,8 +139,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _check_output(args.out, "--out")
     spec = FamilySpec(args.family, tuple(args.params))
     graph = generate_family(spec)
-    assignments = gen_weights(graph.n, args.m, args.seed)
-    text = instance_to_json(WeightedGraph(graph, assignments[0]), assignments)
+    text = instance_to_json(graph, gen_weights(graph.n, args.m, args.seed))
     if args.out is None:
         print(text)
     else:
@@ -160,6 +159,8 @@ def _timing(profile: str) -> TimingModel:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.graph is None and args.family is None:
+        raise InputError("one of the arguments --graph --family is required")
     if args.graph is not None and args.m is not None:
         raise InputError("--m applies to --family only; an instance file holds its assignments")
     # the settings are checked before the instance is built: a large --family is work too
@@ -218,13 +219,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    weighted = parse_graph(_read(args.graph))
+    missing = [flag for flag in ("--graph", "--embedding") if getattr(args, flag[2:]) is None]
+    if missing:
+        raise InputError(f"the following arguments are required: {', '.join(missing)}")
+    graph, _ = parse_instance(_read(args.graph))
     gp = chimera(args.chimera_k)
     try:
         emb = Embedding.from_json(_read(args.embedding), gp)
     except ValueError as exc:
         raise InputError(f"embedding file: {exc}") from None
-    check = verify_embedding(weighted.graph, gp, emb)
+    check = verify_embedding(graph, gp, emb)
     for condition, label in (
         (1, "chains pairwise disjoint"),
         (2, "chains connected"),

@@ -33,7 +33,6 @@ __all__ = [
     "generate_family",
     "chimera",
     "chimera_index",
-    "parse_graph",
     "parse_instance",
     "instance_to_json",
     "selection_weight",
@@ -98,6 +97,13 @@ class Graph:
         return (u, v) in self.edges
 
 
+def _check_weight(w: float, field: str, error: type[ValueError] = ValueError) -> float:
+    """The one weight rule: positive and below 2**53, where the penalty W + 1 is exact."""
+    if not 0.0 < w < 2.0**53:
+        raise error(f"{field}: must be a positive real below 2**53, got {w}")
+    return w
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """A graph together with one positive weight per vertex."""
@@ -111,10 +117,7 @@ class WeightedGraph:
                 f"expected {self.graph.n} weights, got {len(self.weights)}"
             )
         for i, w in enumerate(self.weights):
-            # the reduction's penalty W + 1 for integer weights is exact only
-            # below 2**53; above it W + 1 == W and the penalty fails to separate
-            if not 0.0 < w < 2.0**53:
-                raise ValueError(f"weights[{i}] must be a positive real below 2**53, got {w}")
+            _check_weight(w, f"weights[{i}]")
 
     @property
     def n(self) -> int:
@@ -270,23 +273,22 @@ def _parse_weight_vector(raw: object, n: int, where: str) -> tuple[float, ...]:
             w = float(value)
         except OverflowError:  # an integer beyond the float range
             w = math.inf
-        _require(math.isfinite(w), f"{where}[{i}]: must be finite, got {w}")
-        _require(w > 0.0, f"{where}[{i}]: weights must be positive, got {w}")
-        weights.append(w)
+        weights.append(_check_weight(w, f"{where}[{i}]", GraphFormatError))
     return tuple(weights)
 
 
-def parse_instance(text: str) -> tuple[WeightedGraph, list[tuple[float, ...]] | None]:
-    """Parse an instance document.
+def parse_instance(text: str) -> tuple[Graph, tuple[tuple[float, ...], ...]]:
+    """Parse an instance document into its graph and its weight assignments.
 
     The document format is a single JSON object::
 
         {"n": int, "edges": [[u, v], ...], "weights": [w0, ...],
          "weight_assignments": [[...], ...]}            # optional
 
-    Returns the weighted graph plus the optional list of extra weight
-    assignments. Malformed input raises :class:`GraphFormatError` naming the
-    offending field.
+    The assignments are ``weight_assignments`` when present, else the single
+    ``weights`` vector. Every weight in the document meets the rule of
+    :class:`WeightedGraph`. Malformed input raises :class:`GraphFormatError`
+    naming the offending field, such as ``weight_assignments[1][1]``.
     """
     try:
         obj = json.loads(text)
@@ -321,39 +323,31 @@ def parse_instance(text: str) -> tuple[WeightedGraph, list[tuple[float, ...]] | 
         edges.append(key)
 
     _require("weights" in obj, "missing field 'weights'")
-    weights = _parse_weight_vector(obj["weights"], n, "weights")
-    graph = Graph.from_edges(n, edges)
-
-    assignments = None
+    assignments = (_parse_weight_vector(obj["weights"], n, "weights"),)
     if "weight_assignments" in obj:
         raw_assignments = obj["weight_assignments"]
         _require(isinstance(raw_assignments, list), "weight_assignments: expected a list")
         _require(len(raw_assignments) >= 1, "weight_assignments: must be nonempty when present")
-        assignments = [
+        assignments = tuple(
             _parse_weight_vector(vec, n, f"weight_assignments[{j}]")
             for j, vec in enumerate(raw_assignments)
-        ]
-    return WeightedGraph(graph, weights), assignments
+        )
+    return Graph.from_edges(n, edges), assignments
 
 
-def parse_graph(text: str) -> WeightedGraph:
-    """Parse an instance document and return just the weighted graph."""
-    weighted, _ = parse_instance(text)
-    return weighted
+def instance_to_json(graph: Graph, assignments: Sequence[Sequence[float]]) -> str:
+    """Serialise a graph and its weight assignments to the document format.
 
-
-def instance_to_json(
-    weighted: WeightedGraph, assignments: Sequence[Sequence[float]] | None = None
-) -> str:
-    """Serialise a weighted graph (plus optional assignments) to the document format.
-
-    Round-trips exactly through :func:`parse_instance`.
+    ``weights`` is the first assignment and ``weight_assignments`` all of them;
+    :func:`parse_instance` reads the pair back exactly. An empty list raises
+    ValueError, as the reader refuses one.
     """
-    doc: dict[str, object] = {
-        "n": weighted.n,
-        "edges": [[u, v] for u, v in weighted.graph.sorted_edges()],
-        "weights": list(weighted.weights),
+    if not assignments:
+        raise ValueError("need at least one weight assignment")
+    doc = {
+        "n": graph.n,
+        "edges": [[u, v] for u, v in graph.sorted_edges()],
+        "weights": list(assignments[0]),
+        "weight_assignments": [list(vec) for vec in assignments],
     }
-    if assignments is not None:
-        doc["weight_assignments"] = [list(vec) for vec in assignments]
     return json.dumps(doc, indent=1)

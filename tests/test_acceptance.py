@@ -241,7 +241,7 @@ def test_criterion_9_report_determinism(tmp_path, tree_weighted):
         from dwmwis import instance_to_json
 
         instance = tmp_path / "tree.json"
-        instance.write_text(instance_to_json(tree_weighted, gen_weights(5, 5, seed=3)))
+        instance.write_text(instance_to_json(tree_weighted.graph, gen_weights(5, 5, seed=3)))
         outputs = []
         for run in ("a", "b"):
             out = tmp_path / run
@@ -277,7 +277,7 @@ def test_sampler_stream_pinned(tmp_path, tree_weighted):
     from dwmwis import instance_to_json
 
     instance = tmp_path / "tree.json"
-    instance.write_text(instance_to_json(tree_weighted, gen_weights(5, 5, seed=3)))
+    instance.write_text(instance_to_json(tree_weighted.graph, gen_weights(5, 5, seed=3)))
     out = tmp_path / "run"
     code = cli.main([
         "bench", "--graph", str(instance), "--chimera-k", "1",

@@ -114,13 +114,15 @@ class TestGenWeights:
 class TestInstance:
     def test_json_roundtrip(self, tree_graph):
         inst = DwmwisInstance(tree_graph, gen_weights(5, 4, seed=1), name="tree")
-        text = instance_to_json(inst.weighted(0), inst.assignments)
+        text = instance_to_json(inst.graph, inst.assignments)
         back = DwmwisInstance.from_json(text, name="tree")
         assert back.graph == inst.graph
         assert back.assignments == inst.assignments
 
     def test_plain_graph_document_gives_single_assignment(self, tree_weighted):
-        inst = DwmwisInstance.from_json(instance_to_json(tree_weighted))
+        text = json.dumps({"n": 5, "edges": sorted(tree_weighted.graph.edges),
+                           "weights": list(tree_weighted.weights)})
+        inst = DwmwisInstance.from_json(text)
         assert inst.m == 1
         assert inst.assignments[0] == tree_weighted.weights
 

@@ -47,7 +47,7 @@ def tree_instance(tmp_path, tree_weighted):
     from dwmwis import gen_weights, instance_to_json
 
     path = tmp_path / "tree.json"
-    path.write_text(instance_to_json(tree_weighted, gen_weights(5, 4, seed=3)))
+    path.write_text(instance_to_json(tree_weighted.graph, gen_weights(5, 4, seed=3)))
     return path
 
 
@@ -431,6 +431,30 @@ MALFORMED = {
     "p-is-refused": (["bench", "--graph", "{instance}", "--p", "0.9"], None),
     "family-parameter-not-an-integer": (["bench", "--family", "Cycle", "x"], None),
     "family-parameter-out-of-range": (["bench", "--family", "Cycle", "2"], None),
+    # a misspelt option is named, not read as a missing --graph
+    "graph-misspelt": (["bench", "--grap", "{instance}"], None),
+    "verify-graph-misspelt": (["verify", "--gra", "{instance}", "--embedding", "{file}"], None),
+    "timing-profile-not-json": (
+        ["bench", "--graph", "{instance}", "--timing-profile", "{doc}"], "{not json"
+    ),
+    # every weight is held to the rule when the document is read, under its own field
+    "assignment-weight-beyond-2-53": (
+        ["bench", "--graph", "{doc}"],
+        '{"n": 2, "edges": [[0, 1]], "weights": [1, 2], "weight_assignments": [[1, 2], [3, 1e300]]}',
+    ),
+    "verify-assignment-weight-beyond-2-53": (
+        ["verify", "--graph", "{doc}", "--embedding", "{file}"],
+        '{"n": 2, "edges": [[0, 1]], "weights": [1, 2], "weight_assignments": [[1, 2], [3, 1e300]]}',
+    ),
+}
+
+# rows whose message must begin with what names the fault
+NAMED = {
+    "graph-misspelt": "unrecognized arguments: --grap ",
+    "verify-graph-misspelt": "unrecognized arguments: --gra ",
+    "timing-profile-not-json": "timing profile: invalid JSON: ",
+    "assignment-weight-beyond-2-53": "weight_assignments[1][1]: ",
+    "verify-assignment-weight-beyond-2-53": "weight_assignments[1][1]: ",
 }
 
 
@@ -455,6 +479,7 @@ def test_malformed_input_exits_4_before_any_work(
     assert cli.main([a.format(**fill) for a in args]) == cli.EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.err.startswith("error: input-error:") and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: input-error: " + NAMED.get(name, ""))
     assert "Traceback" not in captured.err
     assert plain_file.read_text() == "x\n"
     assert sorted(tmp_path.rglob("*")) == before

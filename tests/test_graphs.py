@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwmwis import (
+    DwmwisInstance,
     FamilySpec,
     Graph,
     GraphFormatError,
@@ -15,7 +19,6 @@ from dwmwis import (
     chimera_index,
     generate_family,
     instance_to_json,
-    parse_graph,
     parse_instance,
 )
 from conftest import TREE_EDGES, TREE_WEIGHTS
@@ -201,40 +204,89 @@ class TestChimera:
 class TestInstanceFormat:
     def test_parse_worked_example(self):
         text = json.dumps({"n": 5, "edges": TREE_EDGES, "weights": list(TREE_WEIGHTS)})
-        weighted = parse_graph(text)
-        assert weighted.n == 5
-        assert weighted.graph.edges == frozenset(TREE_EDGES)
-        assert weighted.weights == TREE_WEIGHTS
+        graph, assignments = parse_instance(text)
+        assert graph.n == 5
+        assert graph.edges == frozenset(TREE_EDGES)
+        assert assignments == (TREE_WEIGHTS,)
 
     def test_empty_vertex_set_rejected(self):
         with pytest.raises(GraphFormatError, match="nonempty"):
-            parse_graph(json.dumps({"n": 0, "edges": [], "weights": []}))
+            parse_instance(json.dumps({"n": 0, "edges": [], "weights": []}))
 
     def test_zero_weight_rejected(self):
         text = json.dumps({"n": 2, "edges": [[0, 1]], "weights": [1.0, 0.0]})
         with pytest.raises(GraphFormatError, match=r"weights\[1\]"):
-            parse_graph(text)
+            parse_instance(text)
 
     def test_out_of_range_edge_names_field(self):
         text = json.dumps({"n": 2, "edges": [[0, 5]], "weights": [1.0, 1.0]})
         with pytest.raises(GraphFormatError, match=r"edges\[0\]"):
-            parse_graph(text)
+            parse_instance(text)
 
     def test_duplicate_edge_rejected(self):
         text = json.dumps({"n": 3, "edges": [[0, 1], [1, 0]], "weights": [1, 1, 1]})
         with pytest.raises(GraphFormatError, match="duplicate"):
-            parse_graph(text)
+            parse_instance(text)
 
     def test_malformed_json_rejected(self):
         with pytest.raises(GraphFormatError, match="invalid JSON"):
-            parse_graph("{not json")
+            parse_instance("{not json")
 
     def test_roundtrip_with_assignments(self, tree_weighted):
         assignments = [(0.5, 0.25, 1.0, 0.75, 0.125), (1.0, 1.0, 1.0, 1.0, 1.0)]
-        text = instance_to_json(tree_weighted, assignments)
-        weighted, parsed = parse_instance(text)
-        assert weighted == tree_weighted
-        assert parsed == [tuple(a) for a in assignments]
+        text = instance_to_json(tree_weighted.graph, assignments)
+        graph, parsed = parse_instance(text)
+        assert graph == tree_weighted.graph
+        assert parsed == tuple(tuple(a) for a in assignments)
+
+    def test_writer_refuses_no_assignments(self, tree_graph):
+        with pytest.raises(ValueError, match="at least one"):
+            instance_to_json(tree_graph, ())
+
+
+# boundary-heavy weights: the two-decimal grid, integers up to 2**53 - 1, the
+# least subnormal and 0.1
+WEIGHTS = st.one_of(
+    st.integers(1, 99).map(lambda c: c / 100),
+    st.integers(1, 2**53 - 1).map(float),
+    st.sampled_from([5e-324, 0.1, 2.0**53 - 1]),
+)
+# JSON literals that break the rule: zero, negative, at 2**53, finite but far
+# above it, an integer beyond the float range, and not a number
+BAD_WEIGHTS = ["0", "-1", str(2**53), "1e300", "1" + "0" * 399, "NaN"]
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 20))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else []
+    m = draw(st.integers(1, 4))
+    vectors = st.lists(WEIGHTS, min_size=n, max_size=n).map(tuple)
+    return Graph.from_edges(n, edges), tuple(draw(vectors) for _ in range(m))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(instances(), st.data())
+def test_instance_document_roundtrips_and_names_a_bad_weight(instance, data):
+    graph, assignments = instance
+    text = instance_to_json(graph, assignments)
+    assert parse_instance(text) == (graph, assignments)
+    inst = DwmwisInstance.from_json(text)
+    assert (inst.graph, inst.assignments) == (graph, assignments)
+
+    j = data.draw(st.integers(0, len(assignments) - 1), label="j")
+    i = data.draw(st.integers(0, graph.n - 1), label="i")
+    for field in ("weights", "weight_assignments"):
+        for bad in BAD_WEIGHTS:
+            doc = json.loads(text)
+            if field == "weights":
+                doc["weights"][i], name = "BAD", f"weights[{i}]"
+            else:
+                doc["weight_assignments"][j][i], name = "BAD", f"weight_assignments[{j}][{i}]"
+            with pytest.raises(GraphFormatError) as exc:
+                parse_instance(json.dumps(doc).replace('"BAD"', bad))
+            assert str(exc.value).split(": ")[0] == name, (bad, str(exc.value))
 
 
 class TestBruteForce:
