@@ -307,22 +307,20 @@ def sample(qp: QuboMatrix, gp: Graph, cfg: SamplerConfig) -> Reads:
     return Reads(bits, np.array(qubits, dtype=np.intp))
 
 
-def k_p(s: float, p: float = 0.99) -> float:
-    """Expected repetitions to see an optimal sample with confidence p.
+def k_p(s: float) -> float:
+    """Expected repetitions to see an optimal sample with confidence p = 0.99.
 
-    ``log(1-p) / log(1-s)``, clamped below at one run. ``s = 0`` raises
-    :class:`Unsolved` (the instance would have to be abandoned); ``s = 1``
-    needs exactly one run.
+    ``log(1-p) / log(1-s)``, clamped below at one run: the k99 every report
+    names. ``s = 0`` raises :class:`Unsolved` (the instance would have to be
+    abandoned); ``s = 1`` needs exactly one run.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"confidence p must be in (0, 1), got {p}")
     if s == 0.0:
         raise Unsolved("success probability is zero; repetition count undefined")
     if not 0.0 < s <= 1.0:
         raise ValueError(f"success probability must be in (0, 1], got {s}")
     if s == 1.0:
         return 1.0
-    return max(1.0, math.log(1.0 - p) / math.log(1.0 - s))
+    return max(1.0, math.log(1.0 - 0.99) / math.log(1.0 - s))
 
 
 def proc_time(k: float, tm: TimingModel) -> float:

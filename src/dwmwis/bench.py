@@ -8,8 +8,8 @@ assignment exactly with the branch-and-bound baseline, building the
 constraint structure once. Per-assignment solver quality (success rate s and
 the repetition estimate k99) is measured by actually sampling; wall-clock
 totals combine the measured embedding and reweighting times with the modeled
-processing constants, with the standard total derived analytically from the
-paired hybrid run so that T_std - T_H == (m - 1) * t_embed holds exactly.
+processing constants. A record stores what a run counted and measured and
+derives the rest, so T_std - T_H == (m - 1) * t_embed holds by construction.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ class BenchConfig:
     ``sample_budgets`` is the escalation ladder: stages run in order until an
     optimal sample has been seen, mirroring the run-twice-then-escalate
     estimation protocol. ``chain_strength`` None derives the strength from
-    each assignment's matrix (see ``embed_qubo``). ``p`` is no knob: every
-    report names its repetition estimate ``k99``, so the confidence is 0.99.
+    each assignment's matrix (see ``embed_qubo``). ``p`` is no knob but the
+    0.99 of ``k_p``, read only by the k99 oracle in ``perfbench/workloads.py``.
     """
 
     p: ClassVar[float] = 0.99
@@ -171,17 +171,28 @@ class BenchConfig:
 
 @dataclass(frozen=True)
 class AssignmentOutcome:
-    """Per-assignment results; everything except t2_seconds is reproducible."""
+    """Counted: ``n_opt`` of ``n_samples`` reads hit ``optimal_value``. Measured:
+    the reweighting's ``t2_seconds``, the one field that is not reproducible.
+    Modeled: ``t_proc``. ``s``, ``status`` and ``k99`` derive from the counts."""
 
     index: int
-    status: str
-    s: float
-    k99: float | None
-    t_proc: float
-    optimal_value: float
-    n_samples: int
     n_opt: int
+    n_samples: int
+    optimal_value: float
+    t_proc: float
     t2_seconds: float
+
+    @property
+    def s(self) -> float:
+        return self.n_opt / self.n_samples
+
+    @property
+    def status(self) -> str:
+        return SOLVED if self.n_opt > 0 else UNSOLVED
+
+    @property
+    def k99(self) -> float | None:
+        return k_p(self.s) if self.n_opt > 0 else None
 
 
 @dataclass(frozen=True)
@@ -193,18 +204,35 @@ class ClassicalBaseline:
 
 @dataclass(frozen=True)
 class BenchmarkRecord:
+    """One run on one instance. Measured: the embedding search ``t_embed``, the
+    classical pass ``T_C`` and, from ``run_standard`` only, ``t_embed_each``.
+    ``m``, ``T_H`` and ``T_std`` derive from the outcomes and embedding times."""
+
     instance: str
     n: int
-    m: int
     outcomes: tuple[AssignmentOutcome, ...]
     t_embed: float
     embed_restarts: int
     embedded_order: int
     max_chain_length: int
-    T_H: float
-    T_std: float
     T_C: float
     t_embed_each: tuple[float, ...] | None = None
+
+    @property
+    def m(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def T_H(self) -> float:
+        """t_embed + sum_i (t2_i + t_proc_i): the embedding search charged once."""
+        return self.t_embed + _assignments_charge(self.outcomes)
+
+    @property
+    def T_std(self) -> float:
+        """T_H + (m - 1) * t_embed, or sum_i (t_embed_i + t2_i + t_proc_i) when measured."""
+        if self.t_embed_each is None:
+            return self.T_H + (self.m - 1) * self.t_embed
+        return math.fsum(self.t_embed_each) + _assignments_charge(self.outcomes)
 
     @property
     def all_solved(self) -> bool:
@@ -295,29 +323,10 @@ def _solve_assignment(
         if merged.hits:
             break
 
-    n_opt, n_total = merged.hits, merged.total
-    s = n_opt / n_total
-    if n_opt:
-        k99 = k_p(s, cfg.p)
-        status = SOLVED
-        t_proc = proc_time(k99, tm)
-    else:
-        # undefined repetition count: charge the samples actually burned and
-        # flag the assignment so totals are read as lower bounds
-        k99 = None
-        status = UNSOLVED
-        t_proc = proc_time(max(1, n_total), tm)
-    return AssignmentOutcome(
-        index=index,
-        status=status,
-        s=s,
-        k99=k99,
-        t_proc=t_proc,
-        optimal_value=optimal_value,
-        n_samples=n_total,
-        n_opt=n_opt,
-        t2_seconds=t2,
-    )
+    counted = AssignmentOutcome(index, merged.hits, merged.total, optimal_value, 0.0, t2)
+    # unsolved, k99 is undefined: charge the samples burned (totals are lower bounds)
+    repetitions = counted.k99 if counted.status == SOLVED else max(1, merged.total)
+    return replace(counted, t_proc=proc_time(repetitions, tm))
 
 
 def _assignments_charge(outcomes) -> float:
@@ -341,11 +350,11 @@ def run_hybrid(
     weight range the sampler cannot hold (``ValueError``); solve exactly,
     unless ``baseline`` is given; then sample each stored QUBO.
 
-    T_H = t_embed + sum_i (t2_i + t_proc_i) charges the measured embedding
-    search once and every measured reweighting, under every timing model: an
-    all-zero one models a free annealer, so only the t_proc_i vanish. The
-    paired standard total charges the embedding once per assignment, so
-    T_std == T_H + (m - 1) * t_embed holds as written.
+    The record's T_H = t_embed + sum_i (t2_i + t_proc_i) charges the
+    measured embedding search once and every measured reweighting, under every
+    timing model: an all-zero one models a free annealer, so only the t_proc_i
+    vanish. Its paired standard total charges the embedding once per
+    assignment: T_std == T_H + (m - 1) * t_embed.
     """
     result = embed_result
     if result is None:
@@ -375,20 +384,14 @@ def run_hybrid(
         _solve_assignment(inst.weighted(i), i, emb, cfg, tm, baseline.values[i], q, t2)
         for i, (q, t2) in enumerate(reweighted)
     ]
-
-    t_h = result.seconds + _assignments_charge(outcomes)
-    t_std = t_h + (inst.m - 1) * result.seconds
     return BenchmarkRecord(
         instance=inst.name,
         n=inst.n,
-        m=inst.m,
         outcomes=tuple(outcomes),
         t_embed=result.seconds,
         embed_restarts=result.restarts,
         embedded_order=emb.size(),
         max_chain_length=emb.max_chain_length(),
-        T_H=t_h,
-        T_std=t_std,
         T_C=baseline.seconds,
     )
 
@@ -401,10 +404,10 @@ def run_standard(
 ) -> BenchmarkRecord:
     """Standard pipeline with a real embedder run per assignment.
 
-    The hybrid record already carries the analytic standard total. This path
-    (``--reembed-each``) reruns the embedder for every assignment after the
-    first, reuses the paired record's samples, t2 and t_proc, and replaces ``T_std``
-    with the measured sum_i (t_embed_i + t2_i + t_proc_i), to study embedding variance.
+    This path (``--reembed-each``) reruns the embedder for every assignment
+    after the first and sets the searches' times as the paired record's
+    ``t_embed_each``, so its ``T_std`` becomes the measured
+    sum_i (t_embed_i + t2_i + t_proc_i), to study embedding variance.
     """
     times = [paired.t_embed]
     for i in range(1, inst.m):
@@ -412,8 +415,7 @@ def run_standard(
         if not result.ok:
             raise EmbeddingFailed(f"re-embedding run {i} of {inst.name!r} failed")
         times.append(result.seconds)
-    t_std = math.fsum(times) + _assignments_charge(paired.outcomes)
-    return replace(paired, T_std=t_std, t_embed_each=tuple(times))
+    return replace(paired, t_embed_each=tuple(times))
 
 
 def ratios(record: BenchmarkRecord) -> tuple[float, float]:
@@ -421,18 +423,14 @@ def ratios(record: BenchmarkRecord) -> tuple[float, float]:
 
     Only defined when every assignment was solved. Equal totals give R_H = 1,
     even when both are 0, which only a record built by hand can have: the
-    totals hold measured time under every timing model. The algebraic
-    identity R_H = 1 + (m - 1) * t_embed / T_H is revalidated on every call.
+    totals hold measured time under every timing model. R_H = 1 + (m - 1) *
+    t_embed / T_H holds by construction unless ``t_embed_each`` is set.
     """
     unsolved = [o.index for o in record.outcomes if o.status != SOLVED]
     if unsolved:
         raise Unsolved(f"assignments {unsolved} are unsolved; ratios are unavailable")
-    r_h = 1.0 if record.T_std == record.T_H else record.T_std / record.T_H
-    if record.t_embed_each is None and record.T_H > 0.0:
-        expected = 1.0 + (record.m - 1) * record.t_embed / record.T_H
-        if not math.isclose(r_h, expected, rel_tol=1e-9, abs_tol=1e-12):
-            raise RuntimeError(f"speedup identity violated: {r_h} vs {expected}")
-    return r_h, record.T_H / record.T_C
+    t_h, t_std = record.T_H, record.T_std
+    return (1.0 if t_std == t_h else t_std / t_h), t_h / record.T_C
 
 
 # ---------------------------------------------------------------------------

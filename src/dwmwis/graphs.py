@@ -285,8 +285,8 @@ def parse_instance(text: str) -> tuple[Graph, tuple[tuple[float, ...], ...]]:
         {"n": int, "edges": [[u, v], ...], "weights": [w0, ...],
          "weight_assignments": [[...], ...]}            # optional
 
-    The assignments are ``weight_assignments`` when present, else the single
-    ``weights`` vector. Every weight in the document meets the rule of
+    The assignments are ``weight_assignments``, whose first must be ``weights``,
+    or else ``(weights,)``. Every weight in the document meets the rule of
     :class:`WeightedGraph`. Malformed input raises :class:`GraphFormatError`
     naming the offending field, such as ``weight_assignments[1][1]``.
     """
@@ -323,7 +323,8 @@ def parse_instance(text: str) -> tuple[Graph, tuple[tuple[float, ...], ...]]:
         edges.append(key)
 
     _require("weights" in obj, "missing field 'weights'")
-    assignments = (_parse_weight_vector(obj["weights"], n, "weights"),)
+    weights = _parse_weight_vector(obj["weights"], n, "weights")
+    assignments = (weights,)
     if "weight_assignments" in obj:
         raw_assignments = obj["weight_assignments"]
         _require(isinstance(raw_assignments, list), "weight_assignments: expected a list")
@@ -332,6 +333,7 @@ def parse_instance(text: str) -> tuple[Graph, tuple[tuple[float, ...], ...]]:
             _parse_weight_vector(vec, n, f"weight_assignments[{j}]")
             for j, vec in enumerate(raw_assignments)
         )
+        _require(assignments[0] == weights, "weights: must equal weight_assignments[0]")
     return Graph.from_edges(n, edges), assignments
 
 

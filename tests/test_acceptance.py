@@ -178,8 +178,8 @@ def test_criterion_5_energy_correspondence_and_chain_breaks():
 
 def test_criterion_6_tts_arithmetic():
     with criterion(6, "time-to-solution arithmetic"):
-        assert k_p(0.99, 0.99) == 1.0
-        assert abs(k_p(0.5, 0.99) - 6.6439) < 1e-4
+        assert k_p(0.99) == 1.0
+        assert abs(k_p(0.5) - 6.6439) < 1e-4
 
 
 def test_criterion_7_hybrid_identity(tree_graph, chip1):

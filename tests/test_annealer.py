@@ -399,33 +399,27 @@ class TestSuccessProbability:
 
 class TestRepetitionEstimate:
     def test_matched_confidence_is_one(self):
-        assert k_p(0.99, 0.99) == 1.0
+        assert k_p(0.99) == 1.0
 
     def test_half_success_closed_form(self):
-        assert k_p(0.5, 0.99) == pytest.approx(6.6439, abs=1e-4)
+        assert k_p(0.5) == pytest.approx(6.6439, abs=1e-4)
 
     def test_zero_success_is_unsolved(self):
         with pytest.raises(Unsolved):
-            k_p(0.0, 0.99)
+            k_p(0.0)
 
     def test_certain_success_is_clamped(self):
-        assert k_p(1.0, 0.99) == 1.0
+        assert k_p(1.0) == 1.0
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            k_p(0.5, 1.0)
-        with pytest.raises(ValueError):
-            k_p(-0.1, 0.99)
+            k_p(-0.1)
 
-    def test_monotone_in_s_and_p(self):
+    def test_monotone_in_s(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             s1, s2 = sorted(rng.uniform(0.01, 0.98, size=2))
-            p = float(rng.uniform(0.5, 0.995))
-            assert k_p(s2 + 0.005, p) <= k_p(s1, p)
-            p1, p2 = sorted(rng.uniform(0.5, 0.995, size=2))
-            s = float(rng.uniform(0.01, 0.5))
-            assert k_p(s, p1) <= k_p(s, p2)
+            assert k_p(s2 + 0.005) <= k_p(s1)
 
 
 class TestTimingModel:

@@ -7,10 +7,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwmwis import (
     AssignmentOutcome,
@@ -35,6 +38,7 @@ from dwmwis import (
     generate_family,
     heuristic_embed,
     instance_to_json,
+    k_p,
     logical_sampleset,
     mwis_to_qubo,
     ratios,
@@ -59,34 +63,27 @@ from oracles import (
 )
 
 
-def outcome(index, status=SOLVED, s=0.5, k99=6.0, t_proc=0.03):
+def outcome(index, s=0.5, t_proc=0.03):
     return AssignmentOutcome(
         index=index,
-        status=status,
-        s=s,
-        k99=k99 if status == SOLVED else None,
         t_proc=t_proc,
         optimal_value=1.0,
         n_samples=1000,
         n_opt=int(1000 * s),
-        t2_seconds=1e-5,
+        t2_seconds=0.0,
     )
 
 
-def synthetic_record(m=2, t_embed=0.1, t_procs=(0.03, 0.04), t_c=0.5):
+def synthetic_record(t_embed=0.1, t_procs=(0.03, 0.04), t_c=0.5):
     outcomes = tuple(outcome(i, t_proc=tp) for i, tp in enumerate(t_procs))
-    t_h = t_embed + math.fsum(t_procs)
     return BenchmarkRecord(
         instance="synthetic",
         n=5,
-        m=m,
         outcomes=outcomes,
         t_embed=t_embed,
         embed_restarts=1,
         embedded_order=5,
         max_chain_length=1,
-        T_H=t_h,
-        T_std=t_h + (m - 1) * t_embed,
         T_C=t_c,
     )
 
@@ -151,7 +148,7 @@ class TestClassical:
 
 class TestFormulas:
     def test_two_assignment_arithmetic(self):
-        rec = synthetic_record(m=2, t_embed=0.1, t_procs=(0.03, 0.04))
+        rec = synthetic_record(t_embed=0.1, t_procs=(0.03, 0.04))
         assert rec.T_H == pytest.approx(0.17)
         assert rec.T_std == pytest.approx(0.27)
         r_h, r_c = ratios(rec)
@@ -164,12 +161,12 @@ class TestFormulas:
         assert r_h == 1.0
 
     def test_identity_holds_exactly(self):
-        rec = synthetic_record(m=2, t_embed=0.0375, t_procs=(0.011, 0.013))
+        rec = synthetic_record(t_embed=0.0375, t_procs=(0.011, 0.013))
         assert rec.T_std == rec.T_H + (rec.m - 1) * rec.t_embed
 
     def test_hybrid_gain_grows_with_embedding_cost(self):
         gains = [
-            ratios(synthetic_record(m=3, t_embed=t, t_procs=(0.03, 0.04, 0.05)))[0]
+            ratios(synthetic_record(t_embed=t, t_procs=(0.03, 0.04, 0.05)))[0]
             for t in (0.0, 0.01, 0.1, 1.0, 10.0)
         ]
         assert gains == sorted(gains)
@@ -180,10 +177,42 @@ class TestFormulas:
 
         bad = replace(
             synthetic_record(),
-            outcomes=(outcome(0), outcome(1, status=UNSOLVED, s=0.0)),
+            outcomes=(outcome(0), outcome(1, s=0.0)),
         )
         with pytest.raises(Unsolved):
             ratios(bad)
+
+
+# finite nonnegative seconds, boundary values and subnormals included
+SECONDS = st.floats(0.0, 1e4)
+COUNTS = st.integers(1, 10**6).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n)))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(st.tuples(COUNTS, SECONDS, SECONDS), min_size=1, max_size=5), SECONDS, st.data())
+def test_record_derives_its_numbers_from_counts_and_times(rows, t_embed, data):
+    outcomes = tuple(
+        AssignmentOutcome(i, n_opt, n, 1.0, t_proc, t2)
+        for i, ((n_opt, n), t2, t_proc) in enumerate(rows)
+    )
+    for o in outcomes:
+        assert 0.0 <= o.s <= 1.0 and o.s == o.n_opt / o.n_samples
+        assert (o.status == SOLVED) == (o.n_opt > 0) and o.status in (SOLVED, UNSOLVED)
+        assert o.k99 == (k_p(o.s) if o.n_opt else None)
+        assert o.k99 is None or o.k99 >= 1.0
+    charge = math.fsum(o.t2_seconds + o.t_proc for o in outcomes)
+    m = len(rows)
+    record = BenchmarkRecord("drawn", 3, outcomes, t_embed, 1, 3, 1, T_C=1.0)
+    assert record.m == m
+    assert record.T_H == t_embed + charge
+    assert record.T_std == record.T_H + (m - 1) * t_embed
+    if record.all_solved and record.T_H > 0.0:
+        r_h, _ = ratios(record)
+        assert math.isclose(r_h, 1.0 + (m - 1) * t_embed / record.T_H, rel_tol=1e-9)
+    each = (t_embed, *data.draw(st.lists(SECONDS, min_size=m - 1, max_size=m - 1)))
+    measured = replace(record, t_embed_each=each)
+    assert measured.T_H == record.T_H
+    assert measured.T_std == math.fsum(each) + charge
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dwmwis import bench, cli
-from dwmwis.bench import UNSOLVED
 
 
 def run_cli(*args) -> int:
@@ -185,7 +184,7 @@ class TestBench:
 
         def sabotaged(*args, **kwargs):
             record = real(*args, **kwargs)
-            first = replace(record.outcomes[0], status=UNSOLVED, s=0.0, k99=None)
+            first = replace(record.outcomes[0], n_opt=0)
             return replace(record, outcomes=(first,) + record.outcomes[1:])
 
         monkeypatch.setattr(cli_mod, "run_hybrid", sabotaged)
@@ -446,6 +445,15 @@ MALFORMED = {
         ["verify", "--graph", "{doc}", "--embedding", "{file}"],
         '{"n": 2, "edges": [[0, 1]], "weights": [1, 2], "weight_assignments": [[1, 2], [3, 1e300]]}',
     ),
+    # weights is the first assignment; a document where the two disagree is refused
+    "weights-disagree-with-first-assignment": (
+        ["bench", "--graph", "{doc}"],
+        '{"n": 2, "edges": [[0, 1]], "weights": [0.5, 0.25], "weight_assignments": [[0.75, 0.5], [0.25, 0.5]]}',
+    ),
+    "verify-weights-disagree-with-first-assignment": (
+        ["verify", "--graph", "{doc}", "--embedding", "{file}"],
+        '{"n": 2, "edges": [[0, 1]], "weights": [0.5, 0.25], "weight_assignments": [[0.75, 0.5], [0.25, 0.5]]}',
+    ),
 }
 
 # rows whose message must begin with what names the fault
@@ -455,6 +463,8 @@ NAMED = {
     "timing-profile-not-json": "timing profile: invalid JSON: ",
     "assignment-weight-beyond-2-53": "weight_assignments[1][1]: ",
     "verify-assignment-weight-beyond-2-53": "weight_assignments[1][1]: ",
+    "weights-disagree-with-first-assignment": "weights: must equal weight_assignments[0]",
+    "verify-weights-disagree-with-first-assignment": "weights: must equal weight_assignments[0]",
 }
 
 
