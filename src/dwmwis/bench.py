@@ -4,9 +4,10 @@ instances: one graph, many weight assignments.
 Three pipelines are compared. The hybrid pipeline embeds the graph once and
 reuses the embedding for every assignment; the standard pipeline charges the
 embedding cost once per assignment; the classical pipeline solves every
-assignment exactly with the branch-and-bound baseline, building the
-constraint structure once. Per-assignment solver quality (success rate s and
-the repetition estimate k99) is measured by actually sampling; wall-clock
+assignment exactly with the classical baseline (a minimum cut on bipartite
+graphs, branch and bound on the rest), building the constraint structure
+once. Per-assignment solver quality (success rate s and the repetition
+estimate k99) is measured by actually sampling; wall-clock
 totals combine the measured embedding and reweighting times with the modeled
 processing constants. A record stores what a run counted and measured and
 derives the rest, so T_std - T_H == (m - 1) * t_embed holds by construction.

@@ -1,13 +1,20 @@
 """Exact classical baseline: the binary-program formulation of the weighted
 independent set problem (maximise the weight sum subject to x_i + x_j <= 1
-per edge), solved by depth-first branch and bound with a fractional
-clique-cover bound: the weights of the available vertices are split over
-cliques, and an independent set gains at most the share of each clique.
+per edge), solved exactly on one of two paths, chosen by the graph alone.
 
-The constraint structure, the branching order and the order in which the
-bound takes vertices depend only on the graph, never on the weights, so they
-are built once and reused across every weight assignment of a dynamically
-weighted instance.
+On a bipartite graph an independent set is the complement of a vertex cover,
+and a minimum-weight vertex cover is a minimum cut (Koenig's theorem, weighted
+form): source to each side-0 vertex at its weight, side 0 to side 1 along
+each edge unbounded, each side-1 vertex to the sink at its weight. Every
+other graph is solved by depth-first branch and bound with a fractional
+clique-cover bound: the weights of the available vertices are split over
+cliques, and an independent set gains at most the share of each clique. Both
+paths return the same value and set, ties included (see ``solve_bip``).
+
+The constraint structure, the 2-colouring and flow network, the branching
+order and the order in which the bound takes vertices depend only on the
+graph, never on the weights, so they are built once and reused across every
+weight assignment of a dynamically weighted instance.
 """
 
 from __future__ import annotations
@@ -35,6 +42,13 @@ class ConstraintSet:
     x_u + x_v <= 1 constraint of the edge between the vertices at p and q,
     and ``order`` is the descending-degree branching order as positions,
     ties to the lower vertex index. ``num_edges`` sizes the prune margin.
+
+    ``side`` is None when the graph has an odd cycle; else it 2-colours the
+    positions and ``head`` and ``arcs`` are the flow network of the cut, over
+    nodes 0..n-1 (the positions), n (source) and n + 1 (sink). Edge e runs
+    from ``head[e ^ 1]`` to ``head[e]``, so e ^ 1 is its residual reverse;
+    edge 2p is position p's terminal edge, and the edges from 2n on join
+    side 0 to side 1. ``arcs[x]`` lists the edges leaving node x.
     """
 
     n: int
@@ -42,6 +56,9 @@ class ConstraintSet:
     order: tuple[int, ...]
     masks: tuple[int, ...]
     elimination: tuple[int, ...]
+    side: tuple[int, ...] | None
+    arcs: tuple[tuple[int, ...], ...]
+    head: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -63,13 +80,47 @@ def build_constraints(g: Graph) -> ConstraintSet:
         masks[position[u]] |= 1 << position[v]
         masks[position[v]] |= 1 << position[u]
     order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
+    colour = _two_colouring(adj)
+    side = None if colour is None else tuple(colour[v] for v in elimination)
+    head: list[int] = []
+    arcs: list[list[int]] = []
+    if side is not None:
+        for p, d in enumerate(side):
+            head += (g.n + 1, p) if d else (p, g.n)
+        for u, v in g.sorted_edges():
+            head += sorted((position[u], position[v]), key=side.__getitem__, reverse=True)
+        arcs = [[] for _ in range(g.n + 2)]
+        for e in range(len(head)):
+            arcs[head[e ^ 1]].append(e)
     return ConstraintSet(
         n=g.n,
         num_edges=g.num_edges,
         order=tuple(position[v] for v in order),
         masks=tuple(masks),
         elimination=elimination,
+        side=side,
+        arcs=tuple(map(tuple, arcs)),
+        head=tuple(head),
     )
+
+
+def _two_colouring(adj: Sequence[frozenset[int]]) -> list[int] | None:
+    """Side 0 or 1 per vertex with every edge across, by breadth-first search
+    from each uncoloured vertex in index order; None when an edge joins two
+    vertices of one side, that is, when the graph has an odd cycle."""
+    side = [-1] * len(adj)
+    for root in range(len(adj)):
+        if side[root] < 0:
+            side[root] = 0
+            queue = [root]
+            for v in queue:
+                for u in adj[v]:
+                    if side[u] < 0:
+                        side[u] = 1 - side[v]
+                        queue.append(u)
+                    elif side[u] == side[v]:
+                        return None
+    return side
 
 
 def _degeneracy_order(adj: Sequence[frozenset[int]]) -> tuple[int, ...]:
@@ -95,7 +146,8 @@ def _degeneracy_order(adj: Sequence[frozenset[int]]) -> tuple[int, ...]:
 
 
 def solve_bip(cs: ConstraintSet, weights: Sequence[float]) -> BipSolution:
-    """Exact optimum by branch and bound over include/exclude decisions.
+    """Exact optimum: by minimum cut on a bipartite graph (see the last
+    paragraph), else by branch and bound over include/exclude decisions.
 
     The search is a depth-first walk on an explicit stack over ``cs.order``,
     including a vertex before excluding it. It starts from the greedy set,
@@ -124,6 +176,15 @@ def solve_bip(cs: ConstraintSet, weights: Sequence[float]) -> BipSolution:
     one, and the prune margin of four times that never cuts off a strictly
     better leaf. It scales with W, where an absolute slack would outgrow
     every gap of tiny weights.
+
+    On a bipartite graph no search runs: ``_min_cut`` finds the set the
+    search would return. The search keeps its greedy start when that is
+    optimal, else returns the first optimal leaf of its include-first walk.
+    Every maximal independent set is a leaf, and so is every optimal one, so
+    that leaf is the optimal set whose membership along ``cs.order`` is
+    lexicographically greatest. Optimal means of the greatest canonical
+    value: sets whose exact sums differ by less than the rounding of their
+    sum tie, as their values are the same float.
     """
     if len(weights) != cs.n:
         raise ValueError(f"expected {cs.n} weights, got {len(weights)}")
@@ -139,14 +200,18 @@ def solve_bip(cs: ConstraintSet, weights: Sequence[float]) -> BipSolution:
     t0 = time.perf_counter()
     n, order, masks = cs.n, cs.order, cs.masks
     heaviest = sorted(range(n), key=lambda p: (-w[p], elimination[p]))
-    cover = _Cover(masks, w, heaviest)
-
     best_mask = blocked = 0
     for p in heaviest:
         if not (blocked >> p) & 1:
             best_mask |= 1 << p
             blocked |= (1 << p) | masks[p]
     best_value = selection_weight(w, _bits(best_mask))
+    if cs.side is not None:
+        best_mask, best_value = _min_cut(cs, w, best_mask, best_value)
+        vertices = frozenset(elimination[p] for p in _bits(best_mask))
+        return BipSolution(vertices, best_value, seconds=time.perf_counter() - t0)
+
+    cover = _Cover(masks, w, heaviest)
     margin = 4 * (n + cs.num_edges + 2) * math.ulp(total)
     threshold = best_value - margin
 
@@ -182,6 +247,144 @@ def solve_bip(cs: ConstraintSet, weights: Sequence[float]) -> BipSolution:
             avail ^= bit
     vertices = frozenset(elimination[p] for p in _bits(best_mask))
     return BipSolution(vertices, best_value, seconds=time.perf_counter() - t0)
+
+
+def _min_cut(
+    cs: ConstraintSet, w: list[float], greedy: int, greedy_value: float
+) -> tuple[int, float]:
+    """The branch and bound's set (a bitset over positions) and value on a
+    bipartite graph, given its greedy start, by minimum cuts.
+
+    Capacities are Python ints: each weight M * 2**(e - 53) from
+    ``math.frexp`` is exactly M * 2**(e - low) over the lowest exponent, as
+    float capacities can cut wrongly on a near tie. Shifted left n bits, plus
+    2**(n - 1 - k) at branching rank k, they make the cut unique: of the sets
+    of greatest exact sum, the lexicographically greatest along ``cs.order``,
+    so exact ties need no second flow. Unless the greedy set ties it, a set
+    of lower exact sum can still tie on the rounded value and be
+    lexicographically greater (3 of 2,240 ``gen_weights`` assignments on
+    small grids, cycles and stars). So each position in branching order is
+    decided: in if the current set holds it (its terminal edge then made
+    unbounded), else in only if forcing it in keeps the value. A residual
+    path above ``tie_cap`` through it would raise the cut past any tie;
+    failing one, the flow is augmented and the new cut's value compared.
+    """
+    n, order, side, arcs, head = cs.n, cs.order, cs.side, cs.arcs, cs.head
+    parts = [math.frexp(x) for x in w]
+    low = min((e for _, e in parts), default=0)
+    caps = [0] * n
+    for k, p in enumerate(order):
+        m, e = parts[p]
+        caps[p] = (int(m * 2**53) << (e - low) << n) | (1 << (n - 1 - k))
+    unbounded = sum(caps) << 1
+    cap = [0] * len(head)
+    cap[: 2 * n : 2] = caps
+    cap[2 * n :: 2] = [unbounded] * cs.num_edges
+    for e in range(2 * n, len(head), 2):  # a head start: each path source-u-v-sink
+        a, b = 2 * head[e ^ 1], 2 * head[e]
+        f = min(cap[a], cap[b])
+        for x in (a, b, e):
+            cap[x] -= f
+            cap[x ^ 1] += f
+    best = _cut_side(_max_flow(arcs, head, cap, unbounded), side)
+    value = selection_weight(w, _bits(best))
+    if value == greedy_value:
+        return greedy, value
+    # a set of the same value has an exact sum within one ulp of the optimum
+    tie_cap = ((1 << (math.frexp(math.ulp(value))[1] + 52 - low)) + 1) << n
+    for p in order:
+        if (best >> p) & 1:
+            cap[2 * p] += unbounded
+        elif not _fat_path(arcs, head, cap, p, side[p], tie_cap):
+            saved = cap[:]
+            cap[2 * p] += unbounded
+            level = _max_flow(arcs, head, cap, tie_cap)
+            found = None if level is None else _cut_side(level, side)
+            if found is not None and selection_weight(w, _bits(found)) == value:
+                best = found
+            else:
+                cap = saved
+    return best, value
+
+
+def _fat_path(
+    arcs: Sequence[Sequence[int]], head: Sequence[int], cap: list[int], p: int, back: int, floor: int
+) -> bool:
+    """Whether a residual path with every capacity above ``floor`` runs from
+    node p to the sink (``back`` 0) or from the source to node p (``back`` 1)."""
+    goal = len(arcs) - 1 - back
+    seen = {p, len(arcs) - 2 + back}
+    stack = [p]
+    while stack:
+        for e in arcs[stack.pop()]:
+            y = head[e]
+            if y not in seen and cap[e ^ back] > floor:
+                if y == goal:
+                    return True
+                seen.add(y)
+                stack.append(y)
+    return False
+
+
+def _cut_side(level: list[int], side: Sequence[int]) -> int:
+    """The independent set of a minimum cut, the complement of its vertex
+    cover: side 0 the source reaches and side 1 it does not."""
+    return sum(1 << p for p, d in enumerate(side) if (level[p] >= 0) != d)
+
+
+def _max_flow(
+    arcs: Sequence[Sequence[int]], head: Sequence[int], cap: list[int], limit: int
+) -> list[int] | None:
+    """Push flow from the source to the sink by Dinic's blocking flows,
+    without recursion, in the residual capacities ``cap``. Returns None once
+    more than ``limit`` has been pushed, else the levels of the last
+    breadth-first search, nonnegative where the source still reaches."""
+    source = len(arcs) - 2
+    sink = source + 1
+    pushed = 0
+    while True:
+        level = [-1] * len(arcs)
+        level[source] = 0
+        queue = [source]
+        for x in queue:
+            for e in arcs[x]:
+                if cap[e] and level[head[e]] < 0:
+                    level[head[e]] = level[x] + 1
+                    queue.append(head[e])
+        if level[sink] < 0:
+            return level
+        start = [0] * len(arcs)
+        path: list[int] = []
+        x = source
+        while True:
+            if x == sink:
+                f = min(map(cap.__getitem__, path))
+                for e in path:
+                    cap[e] -= f
+                    cap[e ^ 1] += f
+                pushed += f
+                if pushed > limit:
+                    return None
+                # go on from the tail of the first edge the path saturated
+                k = next(k for k, e in enumerate(path) if not cap[e])
+                x = head[path[k] ^ 1]
+                del path[k:]
+            out, i, deeper = arcs[x], start[x], level[x] + 1
+            end = len(out)
+            while i < end:
+                e = out[i]
+                if cap[e] and level[head[e]] == deeper:
+                    break
+                i += 1
+            start[x] = i
+            if i < end:
+                path.append(e)
+                x = head[e]
+            elif path:
+                level[x] = -1  # a dead end for the rest of this phase
+                x = head[path.pop() ^ 1]
+            else:
+                break
 
 
 class _Cover:

@@ -6,8 +6,9 @@ per-read form of ``embedding.unembed``'s rule.
 Nothing here shares code paths with the package: minima come from full
 enumeration, independence checks walk the edge list directly, and weights are
 re-summed with fsum so comparisons against the library are bit-exact. The
-exact optima of cycles and trees are computed in integer hundredths by linear
-dynamic programmes. ``solve_bip_reference`` is the branch and bound with the
+exact optima of cycles, trees and grids are computed in integers by dynamic
+programmes, along a cycle or tree and over the row masks of a grid.
+``solve_bip_reference`` is the branch and bound with the
 trivial bound, on vertex sets, with its own adjacency, branching order and
 greedy start built from the graph. Three oracles are exceptions.
 ``brute_force_mwis`` settles near ties with ``selection_weight``.
@@ -321,6 +322,27 @@ def cycle_optimum(g: Graph, w: Sequence[int]) -> int:
         return max(out, taken)
 
     return max(path_optimum(ring[1:]), w[ring[0]] + path_optimum(ring[2:-1]))
+
+
+def grid_optimum(rows: int, cols: int, w: Sequence[int]) -> int:
+    """Maximum independent-set weight of the row-major Grid(rows, cols): a
+    transfer over rows whose state is the independent set of the current row
+    as a bit mask, where two consecutive rows fit when their masks share no
+    column. The best previous row that fits m is the best over the subsets of
+    m's complement, a running maximum over subsets taken one bit at a time.
+    Exact in int64; masks that are not independent hold -1."""
+    full = (1 << cols) - 1
+    masks = np.arange(full + 1)
+    independent = (masks & (masks >> 1)) == 0
+    bits = (masks[:, None] >> np.arange(cols)) & 1
+    best = np.where(independent, 0, -1).astype(np.int64)
+    for row in np.asarray(w, dtype=np.int64).reshape(rows, cols):
+        below = best.copy()
+        for b in range(cols):
+            pairs = below.reshape(-1, 2, 1 << b)
+            np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+        best = np.where(independent, bits @ row + below[full ^ masks], -1)
+    return int(best.max())
 
 
 def forest_optimum(g: Graph, w: Sequence[int]) -> int:

@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,17 +20,21 @@ from dwmwis import (
     generate_family,
     solve_bip,
 )
+from dwmwis import bip
 from dwmwis.bip import _Cover
 from oracles import (
+    bipartite_by_enumeration,
     brute_force_mwis,
     cover_bound_reference,
     cycle_optimum,
     forest_optimum,
+    grid_optimum,
     grid_weights,
     hundredths,
     is_independent,
     random_graph,
     random_tree,
+    reference_mwis,
     solve_bip_reference,
 )
 
@@ -362,3 +367,199 @@ class TestAgainstDynamicProgramme:
         solution = solve_bip(cs, weights)
         assert time.process_time() - t0 < 8.0
         _check_optimal(g, weights, solution, cycle_optimum(g, hundredths(weights)))
+
+
+@st.composite
+def bipartite_graphs(draw) -> Graph:
+    """A bipartite graph, a tree or a forest of at most 14 vertices, with its
+    labels shuffled."""
+    n = draw(st.integers(1, 14))
+    shape = draw(st.sampled_from(["bipartite", "tree", "forest"]))
+    if shape == "bipartite":
+        side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if side[u] != side[v]]
+    else:
+        edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    if shape != "tree":
+        keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        edges = [e for e, k in zip(edges, keep) if k]
+    label = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+TIE_HEAVY_WEIGHTS = {
+    "ones-and-twos": st.sampled_from([1.0, 2.0]),
+    "hundredths": st.integers(1, 99).map(lambda k: k / 100),
+    "dyadic": st.integers(1, 511).map(lambda k: k / 128),
+}
+
+
+def _is_two_colouring(g, cs):
+    pos = _position(cs)
+    return all(cs.side[pos[u]] != cs.side[pos[v]] for u, v in g.edges)
+
+
+class TestMinimumCut:
+    """Bipartite graphs take the minimum cut, which returns the value and set
+    of the branch and bound, ties included."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(bipartite_graphs(), st.sampled_from(sorted(TIE_HEAVY_WEIGHTS)), st.data())
+    def test_matches_the_search_on_tie_heavy_weights(self, g, kind, data):
+        weights = tuple(data.draw(st.lists(TIE_HEAVY_WEIGHTS[kind], min_size=g.n, max_size=g.n)))
+        cs = build_constraints(g)
+        assert bipartite_by_enumeration(g)
+        assert cs.side is not None and _is_two_colouring(g, cs)
+        solution = solve_bip(cs, weights)
+        assert (solution.value, solution.vertices) == solve_bip_reference(g, weights)
+        assert solution.value == brute_force_mwis(WeightedGraph(g, weights))[1]
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(bipartite_graphs(), st.data())
+    def test_matches_the_search_over_a_wide_weight_range(self, g, data):
+        # from 2**-30 to 2**53, two sets' exact sums often differ by less than
+        # the rounding of their value; they tie, and the search's tie rule
+        # still decides. The exhaustive search's leaves compare fsum values.
+        weight = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-29, 53))
+        weights = tuple(data.draw(st.lists(weight, min_size=g.n, max_size=g.n)))
+        solution = solve_bip(build_constraints(g), weights)
+        assert is_independent(g, solution.vertices)
+        assert solution.value == reference_mwis(WeightedGraph(g, weights))[1]
+        assert (solution.value, solution.vertices) == solve_bip_reference(g, weights)
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_one_cut_settles_exact_ties(self, trial, monkeypatch):
+        # integer weights sum exactly, so only exact sums tie, and the
+        # lexicographic capacity bits settle those in the first cut
+        max_flow, flows = bip._max_flow, []
+        monkeypatch.setattr(bip, "_max_flow", lambda *args: flows.append(1) or max_flow(*args))
+        rng = np.random.default_rng(6500 + trial)
+        n = int(rng.integers(20, 61))
+        side = rng.integers(0, 2, size=n)
+        pairs = itertools.combinations(range(n), 2)
+        g = Graph.from_edges(n, [(u, v) for u, v in pairs if side[u] != side[v] and rng.random() < 0.1])
+        solution = solve_bip(build_constraints(g), tuple(float(k) for k in rng.integers(1, 3, size=n)))
+        assert is_independent(g, solution.vertices)
+        assert len(flows) == 1
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(tie_heavy_instances())
+    def test_two_colouring_agrees_with_enumeration(self, instance):
+        g, _ = instance
+        cs = build_constraints(g)
+        assert (cs.side is not None) == bipartite_by_enumeration(g)
+        assert cs.side is None or _is_two_colouring(g, cs)
+
+    @pytest.mark.parametrize(
+        "family,params,cut",
+        [
+            ("Complete", (8,), False),
+            ("Cycle", (21,), False),
+            ("Petersen", (), False),
+            ("Cycle", (20,), True),
+            ("Grid", (7, 7), True),
+            ("Star", (20,), True),
+            ("CompleteBipartite", (4, 4), True),
+        ],
+    )
+    def test_selects_the_path_by_the_graph(self, family, params, cut):
+        assert (build_constraints(generate_family(FamilySpec(family, params))).side is not None) == cut
+
+    def test_forests_and_edgeless_graphs_take_the_cut(self):
+        rng = np.random.default_rng(63)
+        tree = random_tree(40, rng)
+        forest = Graph.from_edges(40, tree.sorted_edges()[::2])
+        for g in (tree, forest, Graph.from_edges(5, []), Graph.from_edges(0, [])):
+            assert build_constraints(g).side is not None
+
+    @pytest.mark.parametrize("seed,index", [(5, 38), (7, 1), (14, 14), (14, 27)])
+    def test_float_ties_follow_the_search(self, seed, index):
+        # two-decimal weights where the search's set is not the one of
+        # greatest exact sum: the two differ by less than the rounding of
+        # their value, so they tie, and the search keeps its own
+        g = generate_family(FamilySpec("Cycle", (20,)))
+        weights = gen_weights(20, 40, seed=seed)[index]
+        solution = solve_bip(build_constraints(g), weights)
+        assert (solution.value, solution.vertices) == solve_bip_reference(g, weights)
+        scale = max(Fraction(x).denominator for x in weights)
+        exact = [int(Fraction(x) * scale) for x in weights]
+        assert sum(exact[v] for v in solution.vertices) < cycle_optimum(g, exact)
+
+
+def _within_cpu_budget(g, weights, seconds=0.1):
+    cs = build_constraints(g)
+    t0 = time.process_time()
+    solution = solve_bip(cs, weights)
+    assert time.process_time() - t0 < seconds
+    return solution
+
+
+class TestChipScale:
+    """Bipartite graphs at chip scale, far beyond the branch and bound's
+    reach, against dynamic programmes."""
+
+    @pytest.mark.parametrize("seed", range(26))
+    def test_cycle_500(self, seed):
+        g = generate_family(FamilySpec("Cycle", (500,)))
+        weights = gen_weights(500, 1, seed=seed)[0]
+        solution = _within_cpu_budget(g, weights)
+        _check_optimal(g, weights, solution, cycle_optimum(g, hundredths(weights)))
+
+    @pytest.mark.parametrize("seed", range(26))
+    def test_grid_14_by_14(self, seed):
+        g = generate_family(FamilySpec("Grid", (14, 14)))
+        weights = gen_weights(196, 1, seed=seed)[0]
+        solution = _within_cpu_budget(g, weights)
+        _check_optimal(g, weights, solution, grid_optimum(14, 14, hundredths(weights)))
+
+    def test_tree_of_90_with_unit_weights(self):
+        # every weight 1.0: exponentially many co-optimal sets
+        rng = np.random.default_rng(90)
+        g = Graph.from_edges(90, [(v, rng.integers(0, v)) for v in range(1, 90)])
+        weights = (1.0,) * 90
+        solution = _within_cpu_budget(g, weights)
+        _check_optimal(g, weights, solution, forest_optimum(g, hundredths(weights)))
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 6), (2, 5), (3, 4), (4, 4)])
+    def test_grid_oracle_agrees_with_enumeration(self, rows, cols):
+        rng = np.random.default_rng(10 * rows + cols)
+        g = generate_family(FamilySpec("Grid", (rows, cols)))
+        weights = grid_weights(g.n, rng)
+        vertices, _ = brute_force_mwis(WeightedGraph(g, weights))
+        optimum = sum(hundredths([weights[v] for v in vertices]))
+        assert grid_optimum(rows, cols, hundredths(weights)) == optimum
+
+
+class TestSearchOffBipartite:
+    """Twins of the search tests whose graphs are bipartite and so now take
+    the cut: the same checks on graphs with an odd cycle."""
+
+    def test_prune_margin_scales_with_the_weights(self):
+        # Grid(5, 6) with the diagonal (0, 7), which closes a triangle
+        grid = generate_family(FamilySpec("Grid", (5, 6)))
+        cs = build_constraints(Graph.from_edges(30, grid.sorted_edges() + [(0, 7)]))
+        assert cs.side is None
+        weights = gen_weights(30, 1, seed=1)[0]
+        tiny = tuple(w * 2.0**-40 for w in weights)
+
+        def best_of_three(w):
+            times = []
+            for _ in range(3):
+                t0 = time.process_time()
+                solution = solve_bip(cs, w)
+                times.append(time.process_time() - t0)
+            return solution.vertices, min(times)
+
+        plain, plain_s = best_of_three(weights)
+        scaled, scaled_s = best_of_three(tiny)
+        assert scaled == plain
+        assert scaled_s <= 10 * max(plain_s, 1e-3)
+
+    @pytest.mark.parametrize("family,params", [("Cycle", (21,)), ("Petersen", ())])
+    def test_family(self, family, params):
+        g = generate_family(FamilySpec(family, params))
+        cs = build_constraints(g)
+        assert cs.side is None
+        for weights in gen_weights(g.n, 5, seed=7):
+            solution = solve_bip(cs, weights)
+            assert (solution.value, solution.vertices) == solve_bip_reference(g, weights)
