@@ -36,12 +36,13 @@ class ConstraintSet:
 
     ``elimination`` is the degeneracy order, the order in which the bound
     takes vertices: repeatedly a vertex of least degree among those not yet
-    taken, ties to the lowest index. On a forest it takes leaves first. The
-    rest names each vertex by its position in ``elimination``: ``masks[p]``
-    is the adjacency bitset of position p over positions, bit q of it the
-    x_u + x_v <= 1 constraint of the edge between the vertices at p and q,
-    and ``order`` is the descending-degree branching order as positions,
-    ties to the lower vertex index. ``num_edges`` sizes the prune margin.
+    taken, ties to the lowest index. It peels every tree hung on the graph's
+    cycles leaf first, before any vertex of a cycle. The rest names each
+    vertex by its position in ``elimination``: ``masks[p]`` is the adjacency
+    bitset of position p over positions, bit q of it the x_u + x_v <= 1
+    constraint of the edge between the vertices at p and q, and ``order`` is
+    the descending-degree branching order as positions, ties to the lower
+    vertex index.
 
     ``side`` is None when the graph has an odd cycle; else it 2-colours the
     positions and ``head`` and ``arcs`` are the flow network of the cut, over
@@ -52,7 +53,6 @@ class ConstraintSet:
     """
 
     n: int
-    num_edges: int
     order: tuple[int, ...]
     masks: tuple[int, ...]
     elimination: tuple[int, ...]
@@ -94,7 +94,6 @@ def build_constraints(g: Graph) -> ConstraintSet:
             arcs[head[e ^ 1]].append(e)
     return ConstraintSet(
         n=g.n,
-        num_edges=g.num_edges,
         order=tuple(position[v] for v in order),
         masks=tuple(masks),
         elimination=elimination,
@@ -158,24 +157,19 @@ def solve_bip(cs: ConstraintSet, weights: Sequence[float]) -> BipSolution:
     sum by position is the same float and compares bit-exactly against the
     exhaustive oracle.
 
-    Each node is pruned with the fractional clique cover of ``_Cover``, built
-    leaf first over the available vertices. The cover is valid, so it never
-    prunes a subtree holding a leaf strictly better than the best so far:
-    the search finds the same best sets in the same order as with any other
-    valid bound over the same order and start, and returns the same value
-    and set, ties included. On a forest the cover's value is the optimum.
-
-    Float safety: let W be the total weight. Every weight, residual and
-    partial sum below lies in (-2W, 2W), so each rounding errs by at most
-    ulp(W). A vertex's residual is rounded once each time the vertex joins a
-    clique as a member, which it joins through its edge to the clique's
-    root, and no edge serves two cliques: the shares cover every weight up
-    to |E| roundings in all. The shares and the chosen weight together sum
-    at most n terms, and the threshold and a leaf value round once each. The
-    computed bound therefore lies within (n + |E| + 2) ulp(W) of a valid
-    one, and the prune margin of four times that never cuts off a strictly
-    better leaf. It scales with W, where an absolute slack would outgrow
-    every gap of tiny weights.
+    Each node is bounded by the fractional clique cover of ``_Cover``, built
+    leaf first over the available vertices, on the exact integer weights of
+    ``_exact``, and pruned when the bound is at most the best set's exact sum.
+    Every leaf below then has an exact sum no greater; rounding is monotone,
+    so its value is no greater than the best value, and only a strictly
+    greater one replaces the best. The search thus finds the same best sets
+    in the same order as with any other valid bound over the same order and
+    start, and returns the same value and set, ties included; a subtree that
+    can at most tie the best is cut at its root rather than walked. The
+    degeneracy order peels every tree hung on the graph's cycles leaf
+    first, so each such vertex has at most one later neighbour at every node,
+    and the cover folds it into that neighbour exactly: the bound's slack is
+    the cyclic core's alone.
 
     On a bipartite graph no search runs: ``_min_cut`` finds the set the
     search would return. The search keeps its greedy start when that is
@@ -194,11 +188,12 @@ def solve_bip(cs: ConstraintSet, weights: Sequence[float]) -> BipSolution:
     elimination = cs.elimination
     w = [float(weights[v]) for v in elimination]
     try:
-        total = math.fsum(w)
+        math.fsum(w)
     except OverflowError:
         raise ValueError("the weights' total overflows a float") from None
     t0 = time.perf_counter()
     n, order, masks = cs.n, cs.order, cs.masks
+    x, low = _exact(w)
     heaviest = sorted(range(n), key=lambda p: (-w[p], elimination[p]))
     best_mask = blocked = 0
     for p in heaviest:
@@ -207,20 +202,19 @@ def solve_bip(cs: ConstraintSet, weights: Sequence[float]) -> BipSolution:
             blocked |= (1 << p) | masks[p]
     best_value = selection_weight(w, _bits(best_mask))
     if cs.side is not None:
-        best_mask, best_value = _min_cut(cs, w, best_mask, best_value)
+        best_mask, best_value = _min_cut(cs, w, x, low, best_mask, best_value)
         vertices = frozenset(elimination[p] for p in _bits(best_mask))
         return BipSolution(vertices, best_value, seconds=time.perf_counter() - t0)
 
-    cover = _Cover(masks, w, heaviest)
-    margin = 4 * (n + cs.num_edges + 2) * math.ulp(total)
-    threshold = best_value - margin
+    cover = _Cover(masks, x, heaviest)
+    best_x = sum(x[p] for p in _bits(best_mask))
 
-    # nodes are (index into order, chosen vertices, their weight, available
-    # vertices), both vertex sets as bitsets over positions
-    stack = [(0, 0, 0.0, (1 << n) - 1)]
+    # nodes are (index into order, chosen vertices, their exact weight,
+    # available vertices), both vertex sets as bitsets over positions
+    stack = [(0, 0, 0, (1 << n) - 1)]
     while stack:
-        k, chosen, chosen_w, avail = stack.pop()
-        if cover.bound(avail, chosen_w, threshold) <= threshold:
+        k, chosen, chosen_x, avail = stack.pop()
+        if cover.bound(avail, chosen_x, best_x) <= best_x:
             continue
         # go down the forced choices to the next branching vertex or a leaf
         while True:
@@ -229,64 +223,69 @@ def solve_bip(cs: ConstraintSet, weights: Sequence[float]) -> BipSolution:
             if k == n:
                 value = selection_weight(w, _bits(chosen))
                 if value > best_value:
-                    best_value, best_mask = value, chosen
-                    threshold = best_value - margin
+                    best_value, best_mask, best_x = value, chosen, chosen_x
                 break
             p = order[k]
             bit = 1 << p
             nbrs = masks[p] & avail
             k += 1
             if nbrs:
-                stack.append((k, chosen, chosen_w, avail ^ bit))
-                stack.append((k, chosen | bit, chosen_w + w[p], avail & ~(nbrs | bit)))
+                stack.append((k, chosen, chosen_x, avail ^ bit))
+                stack.append((k, chosen | bit, chosen_x + x[p], avail & ~(nbrs | bit)))
                 break
             # a vertex with no available neighbours is in every leaf below, and
             # taking it leaves the bound as it was, so no new check is needed
             chosen |= bit
-            chosen_w += w[p]
+            chosen_x += x[p]
             avail ^= bit
     vertices = frozenset(elimination[p] for p in _bits(best_mask))
     return BipSolution(vertices, best_value, seconds=time.perf_counter() - t0)
 
 
+def _exact(w: list[float]) -> tuple[list[int], int]:
+    """Each weight M * 2**(e - 53) from ``math.frexp`` as the integer
+    M * 2**(e - low), and the lowest exponent ``low``, the least weight's:
+    the weights in units of 2**(low - 53), so every sum of them is exact and
+    orders sets as their real sums do."""
+    low = math.frexp(min(w, default=0.0))[1]
+    return [int(m * 2.0**53) << (e - low) for m, e in map(math.frexp, w)], low
+
+
 def _min_cut(
-    cs: ConstraintSet, w: list[float], greedy: int, greedy_value: float
+    cs: ConstraintSet, w: list[float], x: list[int], low: int, greedy: int, greedy_value: float
 ) -> tuple[int, float]:
     """The branch and bound's set (a bitset over positions) and value on a
     bipartite graph, given its greedy start, by minimum cuts.
 
-    Capacities are Python ints: each weight M * 2**(e - 53) from
-    ``math.frexp`` is exactly M * 2**(e - low) over the lowest exponent, as
-    float capacities can cut wrongly on a near tie. Shifted left n bits, plus
-    2**(n - 1 - k) at branching rank k, they make the cut unique: of the sets
-    of greatest exact sum, the lexicographically greatest along ``cs.order``,
-    so exact ties need no second flow. Unless the greedy set ties it, a set
-    of lower exact sum can still tie on the rounded value and be
-    lexicographically greater (3 of 2,240 ``gen_weights`` assignments on
-    small grids, cycles and stars). So each position in branching order is
-    decided: in if the current set holds it (its terminal edge then made
-    unbounded), else in only if forcing it in keeps the value. A residual
-    path above ``tie_cap`` through it would raise the cut past any tie;
-    failing one, the flow is augmented and the new cut's value compared.
+    Capacities are Python ints, the exact weights ``x`` in units of
+    2**(low - 53) from ``_exact``, as float capacities can cut wrongly on a
+    near tie. Shifted left n bits, plus 2**(n - 1 - k) at branching rank k,
+    they make the cut unique: of the sets of greatest exact sum, the
+    lexicographically greatest along ``cs.order``, so exact ties need no
+    second flow. Unless the greedy set ties it, a set of lower exact sum can
+    still tie on the rounded value and be lexicographically greater (3 of
+    2,240 ``gen_weights`` assignments on small grids, cycles and stars). So
+    each position in branching order is decided: in if the current set holds
+    it (its terminal edge then made unbounded), else in only if forcing it in
+    keeps the value. A residual path above ``tie_cap`` through it would raise
+    the cut past any tie; failing one, the flow is augmented and the new
+    cut's value compared, which rejects a cut raised past a tie as well.
     """
     n, order, side, arcs, head = cs.n, cs.order, cs.side, cs.arcs, cs.head
-    parts = [math.frexp(x) for x in w]
-    low = min((e for _, e in parts), default=0)
     caps = [0] * n
     for k, p in enumerate(order):
-        m, e = parts[p]
-        caps[p] = (int(m * 2**53) << (e - low) << n) | (1 << (n - 1 - k))
+        caps[p] = (x[p] << n) | (1 << (n - 1 - k))
     unbounded = sum(caps) << 1
     cap = [0] * len(head)
     cap[: 2 * n : 2] = caps
-    cap[2 * n :: 2] = [unbounded] * cs.num_edges
+    cap[2 * n :: 2] = [unbounded] * (len(head) // 2 - n)
     for e in range(2 * n, len(head), 2):  # a head start: each path source-u-v-sink
         a, b = 2 * head[e ^ 1], 2 * head[e]
         f = min(cap[a], cap[b])
-        for x in (a, b, e):
-            cap[x] -= f
-            cap[x ^ 1] += f
-    best = _cut_side(_max_flow(arcs, head, cap, unbounded), side)
+        for y in (a, b, e):
+            cap[y] -= f
+            cap[y ^ 1] += f
+    best = _cut_side(_max_flow(arcs, head, cap), side)
     value = selection_weight(w, _bits(best))
     if value == greedy_value:
         return greedy, value
@@ -298,9 +297,8 @@ def _min_cut(
         elif not _fat_path(arcs, head, cap, p, side[p], tie_cap):
             saved = cap[:]
             cap[2 * p] += unbounded
-            level = _max_flow(arcs, head, cap, tie_cap)
-            found = None if level is None else _cut_side(level, side)
-            if found is not None and selection_weight(w, _bits(found)) == value:
+            found = _cut_side(_max_flow(arcs, head, cap), side)
+            if selection_weight(w, _bits(found)) == value:
                 best = found
             else:
                 cap = saved
@@ -332,16 +330,13 @@ def _cut_side(level: list[int], side: Sequence[int]) -> int:
     return sum(1 << p for p, d in enumerate(side) if (level[p] >= 0) != d)
 
 
-def _max_flow(
-    arcs: Sequence[Sequence[int]], head: Sequence[int], cap: list[int], limit: int
-) -> list[int] | None:
-    """Push flow from the source to the sink by Dinic's blocking flows,
-    without recursion, in the residual capacities ``cap``. Returns None once
-    more than ``limit`` has been pushed, else the levels of the last
-    breadth-first search, nonnegative where the source still reaches."""
+def _max_flow(arcs: Sequence[Sequence[int]], head: Sequence[int], cap: list[int]) -> list[int]:
+    """Push a maximum flow from the source to the sink by Dinic's blocking
+    flows, without recursion, in the residual capacities ``cap``. Returns
+    the levels of the last breadth-first search, nonnegative where the
+    source still reaches."""
     source = len(arcs) - 2
     sink = source + 1
-    pushed = 0
     while True:
         level = [-1] * len(arcs)
         level[source] = 0
@@ -362,9 +357,6 @@ def _max_flow(
                 for e in path:
                     cap[e] -= f
                     cap[e ^ 1] += f
-                pushed += f
-                if pushed > limit:
-                    return None
                 # go on from the tail of the first edge the path saturated
                 k = next(k for k, e in enumerate(path) if not cap[e])
                 x = head[path[k] ^ 1]
@@ -393,12 +385,13 @@ class _Cover:
     Vertices are named by their position in the elimination order, so a set
     of available vertices is a bitset whose lowest bit is the next one the
     cover takes. ``masks`` are the constraint set's adjacency bitsets,
-    ``weights[p]`` is position p's weight, and ``later[p]`` lists the
+    ``weights[p]`` is position p's weight (the exact integer in a solve, so
+    that every bound is exact), and ``later[p]`` lists the
     neighbours after position p in the order ``heaviest`` gives them, as
     ``(position, bit)`` pairs: the candidates of the clique p roots.
     """
 
-    def __init__(self, masks: Sequence[int], weights: list[float], heaviest: list[int]) -> None:
+    def __init__(self, masks: Sequence[int], weights: list[int], heaviest: list[int]) -> None:
         later: list[list[tuple[int, int]]] = [[] for _ in masks]
         for p in heaviest:
             bit = 1 << p
@@ -408,7 +401,7 @@ class _Cover:
         self.weights = weights
         self.later = later
 
-    def bound(self, avail: int, base: float, threshold: float) -> float:
+    def bound(self, avail: int, base: int, threshold: int) -> int:
         """``base`` plus a fractional clique cover of the vertices in
         ``avail``, or a partial sum as soon as it exceeds ``threshold``.
 
@@ -421,10 +414,11 @@ class _Cover:
         shares sum to at least its weight, and an independent set holds at
         most one vertex of each clique, so its weight is at most the sum of
         the shares. This is the weight-splitting dual of the edge relaxation.
-        On a forest the elimination order takes leaves first and each clique
-        is a leaf and its one remaining neighbour; taking the leaf, or
-        folding its weight into that neighbour, keeps the optimum, so there
-        the sum is the optimum.
+        A root with at most one later neighbour left forms a clique with it,
+        and taking the root, or folding its weight into that neighbour, keeps
+        the optimum. The elimination order leaves every vertex of a tree hung
+        on the graph's cycles at most one later neighbour at every node, so
+        the bound is exact on those trees and loose on the cyclic core alone.
         """
         masks, later = self.masks, self.later
         residual = self.weights[:]
@@ -439,16 +433,21 @@ class _Cover:
                 break
             rest ^= low
             clique = masks[r] & rest
-            if clique:
+            if clique & (clique - 1):
                 for u, bit in later[r]:
                     if clique & bit:
                         clique &= masks[u]
                         left = residual[u] - c
                         residual[u] = left
-                        if left <= 0.0:
+                        if left <= 0:
                             rest ^= bit
                         if not clique:
                             break
+            elif clique:  # one candidate, the only member: no walk of later[r]
+                u = clique.bit_length() - 1
+                residual[u] -= c
+                if residual[u] <= 0:
+                    rest ^= clique
         return bound
 
 

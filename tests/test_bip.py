@@ -76,7 +76,6 @@ class TestBuildConstraints:
             assert (cs.masks[pos[u]] >> pos[v]) & 1
             assert (cs.masks[pos[v]] >> pos[u]) & 1
         assert sum(mask.bit_count() for mask in cs.masks) == 2 * g.num_edges
-        assert cs.num_edges == g.num_edges
 
     def test_branch_order_is_descending_degree(self, tree_graph):
         cs = build_constraints(tree_graph)
@@ -442,6 +441,34 @@ class TestMinimumCut:
         assert is_independent(g, solution.vertices)
         assert len(flows) == 1
 
+    @pytest.mark.parametrize(
+        "g,weights",
+        [
+            (Graph.from_edges(5, [(0, 1), (1, 3)]), (0.1, 0.3, 1 / 3, 0.2, 0.2)),
+            (
+                Graph.from_edges(8, [(0, 4), (0, 5), (0, 6), (0, 7), (1, 5), (1, 7), (2, 4), (3, 6)]),
+                (0.01, 0.58, 0.32, 0.98, 0.87, 0.4, 0.97, 0.18),
+            ),
+            # vertex 3 is tried and loses (its two light neighbours weigh more
+            # than a tie), then vertex 4 is tried and kept in place of 5; with
+            # vertex 3 still forced in, that second trial would lose too
+            (
+                Graph.from_edges(9, [(0, 1), (0, 2), (3, 6), (3, 7), (4, 5)]),
+                (0.25, 0.1875, 0.1875, 2**-56, 0.25 - 2**-55, 0.25, 5 * 2**-56, 5 * 2**-56, 0.25),
+            ),
+        ],
+        ids=["path-of-three", "eight-vertices", "lost-then-kept"],
+    )
+    def test_a_trial_that_loses_the_value_is_undone(self, g, weights, monkeypatch):
+        # the walk forces a vertex in, augments a second flow, finds a lower
+        # value and restores the capacities it had before the trial
+        max_flow, flows = bip._max_flow, []
+        monkeypatch.setattr(bip, "_max_flow", lambda *args: flows.append(1) or max_flow(*args))
+        solution = solve_bip(build_constraints(g), weights)
+        assert (solution.value, solution.vertices) == solve_bip_reference(g, weights)
+        assert solution.value == brute_force_mwis(WeightedGraph(g, weights))[1]
+        assert len(flows) >= 2
+
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(tie_heavy_instances())
     def test_two_colouring_agrees_with_enumeration(self, instance):
@@ -530,6 +557,35 @@ class TestChipScale:
         assert grid_optimum(rows, cols, hundredths(weights)) == optimum
 
 
+def _triangle_and_tree(n, rng):
+    """A triangle with a random tree hung on it, n vertices with labels
+    shuffled, and one vertex of the triangle."""
+    edges = [(0, 1), (1, 2), (0, 2)] + [(v, int(rng.integers(0, v))) for v in range(3, n)]
+    label = rng.permutation(n)
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges]), int(label[0])
+
+
+def _triangle_and_tree_optimum(g, w, t):
+    """The optimum of ``_triangle_and_tree``'s graph with integer weights,
+    split on its triangle vertex t into two forests: t left out (its edges
+    dropped, its weight 0), and t taken (its neighbours' edges dropped,
+    their weights 0)."""
+    nbrs = g.adjacency()[t]
+    left_out = Graph.from_edges(g.n, [e for e in g.edges if t not in e])
+    taken = Graph.from_edges(g.n, [e for e in g.edges if not set(e) & nbrs])
+    return max(
+        forest_optimum(left_out, [0 if v == t else x for v, x in enumerate(w)]),
+        forest_optimum(taken, [0 if v in nbrs else x for v, x in enumerate(w)]),
+    )
+
+
+TIED_WEIGHTS = {
+    "ones": lambda n, rng: (1.0,) * n,
+    "ones-and-twos": lambda n, rng: tuple(float(k) for k in rng.integers(1, 3, size=n)),
+    "tenths": lambda n, rng: tuple(float(k) / 10 for k in rng.integers(1, 4, size=n)),
+}
+
+
 class TestSearchOffBipartite:
     """Twins of the search tests whose graphs are bipartite and so now take
     the cut: the same checks on graphs with an odd cycle."""
@@ -563,3 +619,32 @@ class TestSearchOffBipartite:
         for weights in gen_weights(g.n, 5, seed=7):
             solution = solve_bip(cs, weights)
             assert (solution.value, solution.vertices) == solve_bip_reference(g, weights)
+
+    @pytest.mark.parametrize("n", [201, 501])
+    def test_tied_cycle_within_cpu_budget(self, n):
+        # every weight 1.0: n co-optimal sets of (n - 1) / 2 vertices, whose
+        # subtrees an exact prune cuts at their roots rather than walks
+        g = generate_family(FamilySpec("Cycle", (n,)))
+        weights = (1.0,) * n
+        solution = _within_cpu_budget(g, weights, seconds=0.5)
+        _check_optimal(g, weights, solution, cycle_optimum(g, hundredths(weights)))
+
+    @pytest.mark.parametrize("n", [90, 200])
+    def test_tied_triangle_and_tree_within_cpu_budget(self, n):
+        g, t = _triangle_and_tree(n, np.random.default_rng(n))
+        assert build_constraints(g).side is None
+        weights = (1.0,) * n
+        solution = _within_cpu_budget(g, weights, seconds=0.5)
+        _check_optimal(g, weights, solution, _triangle_and_tree_optimum(g, hundredths(weights), t))
+
+    @pytest.mark.parametrize("kind", TIED_WEIGHTS)
+    @pytest.mark.parametrize("shape", ["cycle-21", "triangle-and-tree-30"])
+    def test_tied_weights_match_the_reference(self, shape, kind):
+        rng = np.random.default_rng(37)
+        if shape == "cycle-21":
+            g = generate_family(FamilySpec("Cycle", (21,)))
+        else:
+            g, _ = _triangle_and_tree(30, rng)
+        weights = TIED_WEIGHTS[kind](g.n, rng)
+        solution = solve_bip(build_constraints(g), weights)
+        assert (solution.value, solution.vertices) == solve_bip_reference(g, weights)
