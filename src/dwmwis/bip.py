@@ -433,7 +433,7 @@ class _Cover:
                 break
             rest ^= low
             clique = masks[r] & rest
-            if clique & (clique - 1):
+            if clique:
                 for u, bit in later[r]:
                     if clique & bit:
                         clique &= masks[u]
@@ -443,11 +443,6 @@ class _Cover:
                             rest ^= bit
                         if not clique:
                             break
-            elif clique:  # one candidate, the only member: no walk of later[r]
-                u = clique.bit_length() - 1
-                residual[u] -= c
-                if residual[u] <= 0:
-                    rest ^= clique
         return bound
 
 

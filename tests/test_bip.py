@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -21,7 +22,7 @@ from dwmwis import (
     solve_bip,
 )
 from dwmwis import bip
-from dwmwis.bip import _Cover
+from dwmwis.bip import _Cover, _exact
 from oracles import (
     bipartite_by_enumeration,
     brute_force_mwis,
@@ -47,11 +48,40 @@ def _position(cs):
 
 
 def _cover(cs, weights):
-    """The solver's cover for vertex-indexed weights, built as ``solve_bip``
-    builds it: weights by position, later lists heaviest first with ties to
-    the lower vertex index."""
+    """The cover on the float weights, to check against the float operations
+    of ``cover_bound_reference``: weights by position, later lists heaviest
+    first with ties to the lower vertex index. ``solve_bip`` builds the same
+    cover on exact integers, as ``_exact_cover`` does."""
     w = [weights[v] for v in cs.elimination]
     return _Cover(cs.masks, w, sorted(range(cs.n), key=lambda p: (-w[p], cs.elimination[p])))
+
+
+def _exact_cover(cs, weights):
+    """The cover as ``solve_bip`` builds it, on the exact integer weights of
+    ``_exact`` by position, and those integers by vertex."""
+    w = [float(weights[v]) for v in cs.elimination]
+    x, _ = _exact(w)
+    cover = _Cover(cs.masks, x, sorted(range(cs.n), key=lambda p: (-w[p], cs.elimination[p])))
+    by_vertex = [0] * cs.n
+    for p, v in enumerate(cs.elimination):
+        by_vertex[v] = x[p]
+    return cover, by_vertex
+
+
+def _exact_optimum(g, x):
+    """The greatest sum of the integer weights ``x`` over the independent
+    sets of g, by include/exclude on bitsets of the vertices left."""
+    nbrs = [sum(1 << u for u in a) for a in g.adjacency()]
+
+    @functools.lru_cache(maxsize=None)
+    def best(avail):
+        if not avail:
+            return 0
+        v = (avail & -avail).bit_length() - 1
+        rest = avail ^ (1 << v)
+        return max(best(rest), x[v] + best(rest & ~nbrs[v]))
+
+    return best((1 << g.n) - 1)
 
 
 MASK_GRAPHS = {
@@ -202,8 +232,16 @@ class TestSolve:
         assert scaled_s <= 10 * max(plain_s, 1e-3)
 
 
+COVER_WEIGHTS = (
+    grid_weights,
+    lambda n, rng: tuple(float(k) / 10 for k in rng.integers(1, 4, size=n)),
+    lambda n, rng: tuple(2.0 ** float(e) for e in rng.uniform(-30, 53, size=n)),
+)
+
+
 class TestCoverBound:
-    """The fractional clique cover at the root, over every vertex."""
+    """The fractional clique cover, at the root over every vertex and at
+    random subsets of the vertices."""
 
     @staticmethod
     def root_bound(g, weights):
@@ -248,6 +286,51 @@ class TestCoverBound:
             mask = sum(1 << pos[v] for v in avail)
             want = cover_bound_reference(g, cs.elimination, weights, avail)
             assert cover.bound(mask, 0.0, math.inf) == want
+
+    @staticmethod
+    def exact_bounds(g, weights, rng):
+        """The exact cover's bound over all of g and over four random subsets,
+        each with the subgraph it induces and the exact weights by vertex,
+        zero outside the subset."""
+        cs = build_constraints(g)
+        cover, x = _exact_cover(cs, weights)
+        pos = _position(cs)
+        out = [(cover.bound((1 << g.n) - 1, 0, math.inf), g, x)]
+        for _ in range(4):
+            avail = {v for v in range(g.n) if rng.random() < 0.7}
+            induced = Graph.from_edges(g.n, [e for e in g.edges if set(e) <= avail])
+            bound = cover.bound(sum(1 << pos[v] for v in avail), 0, math.inf)
+            out.append((bound, induced, [x[v] if v in avail else 0 for v in range(g.n)]))
+        return out
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_exact_bound_equals_the_optimum_on_a_forest(self, trial):
+        rng = np.random.default_rng(6500 + trial)
+        g = random_tree(int(rng.integers(1, 200)), rng)
+        if trial % 2:  # a forest: drop a few edges of the tree
+            edges = g.sorted_edges()
+            keep = rng.random(len(edges)) > 0.1
+            g = Graph.from_edges(g.n, [e for e, k in zip(edges, keep) if k])
+        weights = COVER_WEIGHTS[trial % 3](g.n, rng)
+        for bound, induced, x in self.exact_bounds(g, weights, rng):
+            assert bound == forest_optimum(induced, x)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_exact_bound_equals_the_optimum_on_a_triangle_and_tree(self, trial):
+        # the trees are taken leaf first, and the triangle is a clique
+        rng = np.random.default_rng(6600 + trial)
+        g, t = _triangle_and_tree(int(rng.integers(3, 150)), rng)
+        weights = COVER_WEIGHTS[trial % 3](g.n, rng)
+        for bound, induced, x in self.exact_bounds(g, weights, rng):
+            assert bound == _triangle_and_tree_optimum(induced, x, t)
+
+    @pytest.mark.parametrize("trial", range(30))
+    def test_exact_bound_at_least_the_optimum(self, trial):
+        rng = np.random.default_rng(6700 + trial)
+        g = random_graph(int(rng.integers(1, 19)), float(rng.uniform(0.05, 0.9)), rng)
+        weights = COVER_WEIGHTS[trial % 3](g.n, rng)
+        for bound, induced, x in self.exact_bounds(g, weights, rng):
+            assert bound >= _exact_optimum(induced, x)
 
     def test_stops_once_past_the_threshold(self):
         g = generate_family(FamilySpec("Cycle", (9,)))
