@@ -71,7 +71,7 @@ class TimingModel:
         """Parse a JSON object of the three constants; a malformed document raises ValueError."""
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ValueError(f"timing profile: invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise ValueError("timing profile must be a JSON object of constants")

@@ -148,37 +148,34 @@ def solve_bip(cs: ConstraintSet, weights: Sequence[float]) -> BipSolution:
     """Exact optimum: by minimum cut on a bipartite graph (see the last
     paragraph), else by branch and bound over include/exclude decisions.
 
+    Sets are compared by their exact sums, on the integer weights of
+    ``_exact``. The returned set is the greedy start, heaviest first with
+    ties to the lower vertex index, if no set has a greater exact sum; else
+    it is the set of greatest exact sum whose membership along ``cs.order``
+    is lexicographically greatest. Its value is the canonical selection sum,
+    an fsum, computed once for the returned set; rounding is monotone, so it
+    is the greatest value of any independent set, bit for bit the
+    exhaustive oracle's. Only the returned set is mapped back from positions
+    in ``cs.elimination`` to vertices.
+
     The search is a depth-first walk on an explicit stack over ``cs.order``,
-    including a vertex before excluding it. It starts from the greedy set,
-    heaviest first with ties to the lower vertex index, and replaces the best
-    set only on a strictly greater value. The whole search names vertices by
-    their position in ``cs.elimination``; only the returned set is mapped
-    back to vertices. Values are the canonical selection sum, an fsum, so the
-    sum by position is the same float and compares bit-exactly against the
-    exhaustive oracle.
+    including a vertex before excluding it, that starts from the greedy set
+    and replaces the best set only on a strictly greater exact sum. Every
+    maximal independent set is a leaf, and so is every optimal one; the walk
+    meets the leaves in lexicographically decreasing order, so the first
+    optimal leaf is the set above. Each node is bounded by the fractional
+    clique cover of ``_Cover``, built leaf first over the available
+    vertices, and pruned when the bound is at most the best set's exact sum:
+    no leaf below can replace the best, so the search returns the same set
+    as with any other valid bound, and a subtree that can at most tie the
+    best is cut at its root rather than walked. The degeneracy order peels
+    every tree hung on the graph's cycles leaf first, so each such vertex
+    has at most one later neighbour at every node, and the cover folds it
+    into that neighbour exactly: the bound's slack is the cyclic core's
+    alone.
 
-    Each node is bounded by the fractional clique cover of ``_Cover``, built
-    leaf first over the available vertices, on the exact integer weights of
-    ``_exact``, and pruned when the bound is at most the best set's exact sum.
-    Every leaf below then has an exact sum no greater; rounding is monotone,
-    so its value is no greater than the best value, and only a strictly
-    greater one replaces the best. The search thus finds the same best sets
-    in the same order as with any other valid bound over the same order and
-    start, and returns the same value and set, ties included; a subtree that
-    can at most tie the best is cut at its root rather than walked. The
-    degeneracy order peels every tree hung on the graph's cycles leaf
-    first, so each such vertex has at most one later neighbour at every node,
-    and the cover folds it into that neighbour exactly: the bound's slack is
-    the cyclic core's alone.
-
-    On a bipartite graph no search runs: ``_min_cut`` finds the set the
-    search would return. The search keeps its greedy start when that is
-    optimal, else returns the first optimal leaf of its include-first walk.
-    Every maximal independent set is a leaf, and so is every optimal one, so
-    that leaf is the optimal set whose membership along ``cs.order`` is
-    lexicographically greatest. Optimal means of the greatest canonical
-    value: sets whose exact sums differ by less than the rounding of their
-    sum tie, as their values are the same float.
+    On a bipartite graph no search runs: ``_min_cut`` finds the same set
+    with one maximum flow.
     """
     if len(weights) != cs.n:
         raise ValueError(f"expected {cs.n} weights, got {len(weights)}")
@@ -192,23 +189,27 @@ def solve_bip(cs: ConstraintSet, weights: Sequence[float]) -> BipSolution:
     except OverflowError:
         raise ValueError("the weights' total overflows a float") from None
     t0 = time.perf_counter()
-    n, order, masks = cs.n, cs.order, cs.masks
-    x, low = _exact(w)
-    heaviest = sorted(range(n), key=lambda p: (-w[p], elimination[p]))
+    x = _exact(w)
+    heaviest = sorted(range(cs.n), key=lambda p: (-w[p], elimination[p]))
     best_mask = blocked = 0
     for p in heaviest:
         if not (blocked >> p) & 1:
             best_mask |= 1 << p
-            blocked |= (1 << p) | masks[p]
-    best_value = selection_weight(w, _bits(best_mask))
-    if cs.side is not None:
-        best_mask, best_value = _min_cut(cs, w, x, low, best_mask, best_value)
-        vertices = frozenset(elimination[p] for p in _bits(best_mask))
-        return BipSolution(vertices, best_value, seconds=time.perf_counter() - t0)
-
-    cover = _Cover(masks, x, heaviest)
+            blocked |= (1 << p) | cs.masks[p]
     best_x = sum(x[p] for p in _bits(best_mask))
+    if cs.side is not None:
+        best_mask = _min_cut(cs, x, best_mask, best_x)
+    else:
+        best_mask = _search(cs, x, heaviest, best_mask, best_x)
+    best = _bits(best_mask)
+    vertices = frozenset(elimination[p] for p in best)
+    return BipSolution(vertices, selection_weight(w, best), seconds=time.perf_counter() - t0)
 
+
+def _search(cs: ConstraintSet, x: list[int], heaviest: list[int], best: int, best_x: int) -> int:
+    """``solve_bip``'s branch and bound from the greedy set, as bitsets over positions."""
+    n, order, masks = cs.n, cs.order, cs.masks
+    cover = _Cover(masks, x, heaviest)
     # nodes are (index into order, chosen vertices, their exact weight,
     # available vertices), both vertex sets as bitsets over positions
     stack = [(0, 0, 0, (1 << n) - 1)]
@@ -221,9 +222,8 @@ def solve_bip(cs: ConstraintSet, weights: Sequence[float]) -> BipSolution:
             while k < n and not (avail >> order[k]) & 1:
                 k += 1
             if k == n:
-                value = selection_weight(w, _bits(chosen))
-                if value > best_value:
-                    best_value, best_mask, best_x = value, chosen, chosen_x
+                if chosen_x > best_x:
+                    best, best_x = chosen, chosen_x
                 break
             p = order[k]
             bit = 1 << p
@@ -238,90 +238,45 @@ def solve_bip(cs: ConstraintSet, weights: Sequence[float]) -> BipSolution:
             chosen |= bit
             chosen_x += x[p]
             avail ^= bit
-    vertices = frozenset(elimination[p] for p in _bits(best_mask))
-    return BipSolution(vertices, best_value, seconds=time.perf_counter() - t0)
+    return best
 
 
-def _exact(w: list[float]) -> tuple[list[int], int]:
+def _exact(w: list[float]) -> list[int]:
     """Each weight M * 2**(e - 53) from ``math.frexp`` as the integer
-    M * 2**(e - low), and the lowest exponent ``low``, the least weight's:
-    the weights in units of 2**(low - 53), so every sum of them is exact and
-    orders sets as their real sums do."""
+    M * 2**(e - low), with ``low`` the least weight's exponent: the weights
+    in units of 2**(low - 53), so every sum of them is exact and orders sets
+    as their real sums do."""
     low = math.frexp(min(w, default=0.0))[1]
-    return [int(m * 2.0**53) << (e - low) for m, e in map(math.frexp, w)], low
+    return [int(m * 2.0**53) << (e - low) for m, e in map(math.frexp, w)]
 
 
-def _min_cut(
-    cs: ConstraintSet, w: list[float], x: list[int], low: int, greedy: int, greedy_value: float
-) -> tuple[int, float]:
-    """The branch and bound's set (a bitset over positions) and value on a
-    bipartite graph, given its greedy start, by minimum cuts.
+def _min_cut(cs: ConstraintSet, x: list[int], greedy: int, greedy_x: int) -> int:
+    """The branch and bound's set on a bipartite graph, a bitset over
+    positions, given its greedy start and that set's exact sum, by one
+    minimum cut.
 
-    Capacities are Python ints, the exact weights ``x`` in units of
-    2**(low - 53) from ``_exact``, as float capacities can cut wrongly on a
-    near tie. Shifted left n bits, plus 2**(n - 1 - k) at branching rank k,
-    they make the cut unique: of the sets of greatest exact sum, the
-    lexicographically greatest along ``cs.order``, so exact ties need no
-    second flow. Unless the greedy set ties it, a set of lower exact sum can
-    still tie on the rounded value and be lexicographically greater (3 of
-    2,240 ``gen_weights`` assignments on small grids, cycles and stars). So
-    each position in branching order is decided: in if the current set holds
-    it (its terminal edge then made unbounded), else in only if forcing it in
-    keeps the value. A residual path above ``tie_cap`` through it would raise
-    the cut past any tie; failing one, the flow is augmented and the new
-    cut's value compared, which rejects a cut raised past a tie as well.
+    Capacities are Python ints, the exact weights ``x`` of ``_exact``, as
+    float capacities can cut wrongly on a near tie. Shifted left n bits,
+    plus 2**(n - 1 - k) at branching rank k, they make the cut unique: of
+    the sets of greatest exact sum, the lexicographically greatest along
+    ``cs.order``, the search's first optimal leaf. The search keeps its
+    greedy start instead when that ties it.
     """
-    n, order, side, arcs, head = cs.n, cs.order, cs.side, cs.arcs, cs.head
+    n, order, arcs, head = cs.n, cs.order, cs.arcs, cs.head
     caps = [0] * n
     for k, p in enumerate(order):
         caps[p] = (x[p] << n) | (1 << (n - 1 - k))
-    unbounded = sum(caps) << 1
     cap = [0] * len(head)
     cap[: 2 * n : 2] = caps
-    cap[2 * n :: 2] = [unbounded] * (len(head) // 2 - n)
+    cap[2 * n :: 2] = [sum(caps) << 1] * (len(head) // 2 - n)
     for e in range(2 * n, len(head), 2):  # a head start: each path source-u-v-sink
         a, b = 2 * head[e ^ 1], 2 * head[e]
         f = min(cap[a], cap[b])
         for y in (a, b, e):
             cap[y] -= f
             cap[y ^ 1] += f
-    best = _cut_side(_max_flow(arcs, head, cap), side)
-    value = selection_weight(w, _bits(best))
-    if value == greedy_value:
-        return greedy, value
-    # a set of the same value has an exact sum within one ulp of the optimum
-    tie_cap = ((1 << (math.frexp(math.ulp(value))[1] + 52 - low)) + 1) << n
-    for p in order:
-        if (best >> p) & 1:
-            cap[2 * p] += unbounded
-        elif not _fat_path(arcs, head, cap, p, side[p], tie_cap):
-            saved = cap[:]
-            cap[2 * p] += unbounded
-            found = _cut_side(_max_flow(arcs, head, cap), side)
-            if selection_weight(w, _bits(found)) == value:
-                best = found
-            else:
-                cap = saved
-    return best, value
-
-
-def _fat_path(
-    arcs: Sequence[Sequence[int]], head: Sequence[int], cap: list[int], p: int, back: int, floor: int
-) -> bool:
-    """Whether a residual path with every capacity above ``floor`` runs from
-    node p to the sink (``back`` 0) or from the source to node p (``back`` 1)."""
-    goal = len(arcs) - 1 - back
-    seen = {p, len(arcs) - 2 + back}
-    stack = [p]
-    while stack:
-        for e in arcs[stack.pop()]:
-            y = head[e]
-            if y not in seen and cap[e ^ back] > floor:
-                if y == goal:
-                    return True
-                seen.add(y)
-                stack.append(y)
-    return False
+    best = _cut_side(_max_flow(arcs, head, cap), cs.side)
+    return greedy if sum(x[p] for p in _bits(best)) == greedy_x else best
 
 
 def _cut_side(level: list[int], side: Sequence[int]) -> int:

@@ -98,7 +98,10 @@ class Embedding:
 
     @classmethod
     def from_json(cls, text: str, physical: Graph) -> "Embedding":
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+            raise ValueError(f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict) or "chains" not in obj:
             raise ValueError("embedding document must be an object with a 'chains' field")
         raw = obj["chains"]

@@ -292,7 +292,7 @@ def parse_instance(text: str) -> tuple[Graph, tuple[tuple[float, ...], ...]]:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     _require(isinstance(obj, dict), "top-level value must be an object")
     _require("n" in obj, "missing field 'n'")

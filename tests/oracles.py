@@ -9,8 +9,8 @@ re-summed with fsum so comparisons against the library are bit-exact. The
 exact optima of cycles, trees and grids are computed in integers by dynamic
 programmes, along a cycle or tree and over the row masks of a grid.
 ``solve_bip_reference`` is the branch and bound with the
-trivial bound, on vertex sets, with its own adjacency, branching order and
-greedy start built from the graph. Three oracles are exceptions.
+trivial bound, on vertex sets and exact ``Fraction`` sums, with its own
+adjacency, branching order and greedy start built from the graph. Three oracles are exceptions.
 ``brute_force_mwis`` settles near ties with ``selection_weight``.
 ``embed_qubo_reference`` rebuilds the chain structure on every call, and
 shares ``verify_embedding``, the weight split and the automatic chain
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -218,50 +219,52 @@ def _neighbour_sets(g: Graph) -> list[set[int]]:
 
 def solve_bip_reference(g: Graph, weights: Sequence[float]) -> tuple[float, frozenset[int]]:
     """Branch and bound over the vertices by descending degree (ties to the
-    lower index), include before exclude, pruned by "chosen weight plus all
-    still-available weight", by recursion on vertex sets. It starts from the
-    greedy set that takes vertices heaviest first (ties to the lower index)
-    and replaces the best only on a strictly greater value, so ``solve_bip``
-    must return the same value and set, ties included. The recursion is as
-    deep as the graph is large: keep n small."""
+    lower index), include before exclude, pruned when "chosen weight plus all
+    still-available weight" is at most the best set's, by recursion on
+    vertex sets. Sets are compared by their exact sums, as ``Fraction``s. It
+    starts from the greedy set that takes vertices heaviest first (ties to
+    the lower index) and replaces the best only on a strictly greater exact
+    sum, so it returns the greedy set if that is optimal, else the optimal
+    set first met, the one lexicographically greatest along the branching
+    order; ``solve_bip`` must return the same set, and its fsum as the value.
+    The recursion is as deep as the graph is large: keep n small."""
     n = g.n
-    w = [float(x) for x in weights]
+    w = [Fraction(float(x)) for x in weights]
     nbrs = _neighbour_sets(g)
     order = sorted(range(n), key=lambda v: (-len(nbrs[v]), v))
-
-    def value_of(chosen: frozenset[int]) -> float:
-        return math.fsum(w[v] for v in sorted(chosen))
 
     greedy: set[int] = set()
     for v in sorted(range(n), key=lambda i: (-w[i], i)):
         if not nbrs[v] & greedy:
             greedy.add(v)
     best = frozenset(greedy)
-    best_value = value_of(best)
-    margin = 4 * (n + 2) * math.ulp(math.fsum(w))
+    best_w = sum(w[v] for v in best)
 
     def dfs(
-        pos: int, chosen: frozenset[int], chosen_w: float, avail: frozenset[int], avail_w: float
+        pos: int,
+        chosen: frozenset[int],
+        chosen_w: Fraction,
+        avail: frozenset[int],
+        avail_w: Fraction,
     ) -> None:
-        nonlocal best, best_value
-        if chosen_w + avail_w + margin <= best_value:
+        nonlocal best, best_w
+        if chosen_w + avail_w <= best_w:
             return
         while pos < n and order[pos] not in avail:
             pos += 1
         if pos == n:
-            value = value_of(chosen)
-            if value > best_value:
-                best_value, best = value, chosen
+            if chosen_w > best_w:
+                best_w, best = chosen_w, chosen
             return
         v = order[pos]
         dropped = (nbrs[v] & avail) | {v}
-        dropped_w = math.fsum(w[i] for i in dropped)
+        dropped_w = sum(w[i] for i in dropped)
         dfs(pos + 1, chosen | {v}, chosen_w + w[v], avail - dropped, avail_w - dropped_w)
         if len(dropped) > 1:
             dfs(pos + 1, chosen, chosen_w, avail - {v}, avail_w - w[v])
 
-    dfs(0, frozenset(), 0.0, frozenset(range(n)), math.fsum(w))
-    return best_value, best
+    dfs(0, frozenset(), Fraction(0), frozenset(range(n)), sum(w, Fraction(0)))
+    return math.fsum(float(weights[v]) for v in sorted(best)), best
 
 
 def cover_bound_reference(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -60,7 +61,7 @@ def _exact_cover(cs, weights):
     """The cover as ``solve_bip`` builds it, on the exact integer weights of
     ``_exact`` by position, and those integers by vertex."""
     w = [float(weights[v]) for v in cs.elimination]
-    x, _ = _exact(w)
+    x = _exact(w)
     cover = _Cover(cs.masks, x, sorted(range(cs.n), key=lambda p: (-w[p], cs.elimination[p])))
     by_vertex = [0] * cs.n
     for p, v in enumerate(cs.elimination):
@@ -211,9 +212,9 @@ class TestSolve:
         fresh = [solve_bip(build_constraints(g), w).value for w in weightings]
         assert reused == fresh
 
-    def test_prune_margin_scales_with_the_weights(self):
-        # scaling by a power of two is exact, so a margin that scales with the
-        # weights makes the same prunes; one that does not can stop them all
+    def test_power_of_two_scaling_keeps_the_set_and_the_time(self):
+        # scaling by a power of two leaves the integers of ``_exact`` as they
+        # were, so the cut on Grid(5, 6) is the same, in the same time
         cs = build_constraints(generate_family(FamilySpec("Grid", (5, 6))))
         weights = gen_weights(30, 1, seed=1)[0]
         tiny = tuple(w * 2.0**-40 for w in weights)
@@ -476,6 +477,37 @@ TIE_HEAVY_WEIGHTS = {
 }
 
 
+def _scaled(weights):
+    """Float weights as integers in units of the least power of two that
+    divides them all, so that sums of them are exact."""
+    scale = max(Fraction(x).denominator for x in weights)
+    return [int(Fraction(x) * scale) for x in weights]
+
+
+# two-decimal weights on Cycle(20), as (seed, index) into gen_weights(20, 40,
+# seed=seed), where a set of lower exact sum than the optimum has the same value
+FLOAT_TIES = [(5, 38), (7, 1), (14, 14), (14, 27)]
+
+EXACT_SUM_CASES = {
+    "path-of-three": (Graph.from_edges(5, [(0, 1), (1, 3)]), (0.1, 0.3, 1 / 3, 0.2, 0.2)),
+    "eight-vertices": (
+        Graph.from_edges(8, [(0, 4), (0, 5), (0, 6), (0, 7), (1, 5), (1, 7), (2, 4), (3, 6)]),
+        (0.01, 0.58, 0.32, 0.98, 0.87, 0.4, 0.97, 0.18),
+    ),
+    "lost-then-kept": (
+        Graph.from_edges(9, [(0, 1), (0, 2), (3, 6), (3, 7), (4, 5)]),
+        (0.25, 0.1875, 0.1875, 2**-56, 0.25 - 2**-55, 0.25, 5 * 2**-56, 5 * 2**-56, 0.25),
+    ),
+    **{
+        f"cycle-20-{seed}-{index}": (
+            generate_family(FamilySpec("Cycle", (20,))),
+            gen_weights(20, 40, seed=seed)[index],
+        )
+        for seed, index in FLOAT_TIES
+    },
+}
+
+
 def _is_two_colouring(g, cs):
     pos = _position(cs)
     return all(cs.side[pos[u]] != cs.side[pos[v]] for u, v in g.edges)
@@ -500,8 +532,8 @@ class TestMinimumCut:
     @given(bipartite_graphs(), st.data())
     def test_matches_the_search_over_a_wide_weight_range(self, g, data):
         # from 2**-30 to 2**53, two sets' exact sums often differ by less than
-        # the rounding of their value; they tie, and the search's tie rule
-        # still decides. The exhaustive search's leaves compare fsum values.
+        # the rounding of their value: they tie on the value, which is the
+        # exhaustive search's fsum, but not on the exact sum, which decides
         weight = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-29, 53))
         weights = tuple(data.draw(st.lists(weight, min_size=g.n, max_size=g.n)))
         solution = solve_bip(build_constraints(g), weights)
@@ -524,33 +556,19 @@ class TestMinimumCut:
         assert is_independent(g, solution.vertices)
         assert len(flows) == 1
 
-    @pytest.mark.parametrize(
-        "g,weights",
-        [
-            (Graph.from_edges(5, [(0, 1), (1, 3)]), (0.1, 0.3, 1 / 3, 0.2, 0.2)),
-            (
-                Graph.from_edges(8, [(0, 4), (0, 5), (0, 6), (0, 7), (1, 5), (1, 7), (2, 4), (3, 6)]),
-                (0.01, 0.58, 0.32, 0.98, 0.87, 0.4, 0.97, 0.18),
-            ),
-            # vertex 3 is tried and loses (its two light neighbours weigh more
-            # than a tie), then vertex 4 is tried and kept in place of 5; with
-            # vertex 3 still forced in, that second trial would lose too
-            (
-                Graph.from_edges(9, [(0, 1), (0, 2), (3, 6), (3, 7), (4, 5)]),
-                (0.25, 0.1875, 0.1875, 2**-56, 0.25 - 2**-55, 0.25, 5 * 2**-56, 5 * 2**-56, 0.25),
-            ),
-        ],
-        ids=["path-of-three", "eight-vertices", "lost-then-kept"],
-    )
-    def test_a_trial_that_loses_the_value_is_undone(self, g, weights, monkeypatch):
-        # the walk forces a vertex in, augments a second flow, finds a lower
-        # value and restores the capacities it had before the trial
+    @pytest.mark.parametrize("name", EXACT_SUM_CASES)
+    def test_one_flow_finds_the_greatest_exact_sum(self, name, monkeypatch):
+        # sets whose exact sums differ by less than the rounding of their
+        # value tie on the value; one flow on exact capacities tells them apart
         max_flow, flows = bip._max_flow, []
         monkeypatch.setattr(bip, "_max_flow", lambda *args: flows.append(1) or max_flow(*args))
+        g, weights = EXACT_SUM_CASES[name]
         solution = solve_bip(build_constraints(g), weights)
+        assert len(flows) == 1
         assert (solution.value, solution.vertices) == solve_bip_reference(g, weights)
         assert solution.value == brute_force_mwis(WeightedGraph(g, weights))[1]
-        assert len(flows) >= 2
+        exact = _scaled(weights)
+        assert sum(exact[v] for v in solution.vertices) == _exact_optimum(g, exact)
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(tie_heavy_instances())
@@ -582,18 +600,42 @@ class TestMinimumCut:
         for g in (tree, forest, Graph.from_edges(5, []), Graph.from_edges(0, [])):
             assert build_constraints(g).side is not None
 
-    @pytest.mark.parametrize("seed,index", [(5, 38), (7, 1), (14, 14), (14, 27)])
-    def test_float_ties_follow_the_search(self, seed, index):
-        # two-decimal weights where the search's set is not the one of
-        # greatest exact sum: the two differ by less than the rounding of
-        # their value, so they tie, and the search keeps its own
+    @pytest.mark.parametrize("seed,index", FLOAT_TIES)
+    def test_float_ties_take_the_greatest_exact_sum(self, seed, index):
+        # two-decimal weights where a set of lower exact sum ties the optimum
+        # on the value and comes first in the search's order: the set
+        # returned is still the one of greatest exact sum
         g = generate_family(FamilySpec("Cycle", (20,)))
         weights = gen_weights(20, 40, seed=seed)[index]
         solution = solve_bip(build_constraints(g), weights)
         assert (solution.value, solution.vertices) == solve_bip_reference(g, weights)
-        scale = max(Fraction(x).denominator for x in weights)
-        exact = [int(Fraction(x) * scale) for x in weights]
-        assert sum(exact[v] for v in solution.vertices) < cycle_optimum(g, exact)
+        exact = _scaled(weights)
+        assert sum(exact[v] for v in solution.vertices) == cycle_optimum(g, exact)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(bipartite_graphs(), st.sampled_from(sorted(TIE_HEAVY_WEIGHTS)), st.data())
+    def test_the_search_agrees_with_the_cut(self, g, kind, data):
+        # the same constraint set with no 2-colouring forces the search
+        weights = tuple(data.draw(st.lists(TIE_HEAVY_WEIGHTS[kind], min_size=g.n, max_size=g.n)))
+        cs = build_constraints(g)
+        cut = solve_bip(cs, weights)
+        search = solve_bip(dataclasses.replace(cs, side=None), weights)
+        assert (search.value, search.vertices) == (cut.value, cut.vertices)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_the_search_agrees_with_the_cut_on_larger_graphs(self, trial):
+        rng = np.random.default_rng(6800 + trial)
+        n = int(rng.integers(20, 41))
+        side = rng.integers(0, 2, size=n)
+        pairs = itertools.combinations(range(n), 2)
+        edges = [(u, v) for u, v in pairs if side[u] != side[v] and rng.random() < 0.15]
+        g = Graph.from_edges(n, edges)
+        cs = build_constraints(g)
+        tenths = tuple(float(k) / 10 for k in rng.integers(1, 4, size=n))
+        for weights in (grid_weights(n, rng), tenths):
+            cut = solve_bip(cs, weights)
+            search = solve_bip(dataclasses.replace(cs, side=None), weights)
+            assert (search.value, search.vertices) == (cut.value, cut.vertices)
 
 
 def _within_cpu_budget(g, weights, seconds=0.1):
@@ -673,8 +715,9 @@ class TestSearchOffBipartite:
     """Twins of the search tests whose graphs are bipartite and so now take
     the cut: the same checks on graphs with an odd cycle."""
 
-    def test_prune_margin_scales_with_the_weights(self):
-        # Grid(5, 6) with the diagonal (0, 7), which closes a triangle
+    def test_power_of_two_scaling_keeps_the_set_and_the_time(self):
+        # as in TestSolve, but the search makes the same prunes: Grid(5, 6)
+        # with the diagonal (0, 7), which closes a triangle
         grid = generate_family(FamilySpec("Grid", (5, 6)))
         cs = build_constraints(Graph.from_edges(30, grid.sorted_edges() + [(0, 7)]))
         assert cs.side is None

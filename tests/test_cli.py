@@ -317,6 +317,8 @@ class TestVerify:
         assert code == cli.EXIT_INPUT
 
 
+DEEP = "[" * 200_000  # past the JSON decoder's recursion limit
+
 # one bad input per row; {instance}, {dir}, {file} and {doc} are filled in
 # with the tree instance, an empty directory, a plain file, and a file holding
 # the row's document
@@ -454,10 +456,22 @@ MALFORMED = {
         ["verify", "--graph", "{doc}", "--embedding", "{file}"],
         '{"n": 2, "edges": [[0, 1]], "weights": [0.5, 0.25], "weight_assignments": [[0.75, 0.5], [0.25, 0.5]]}',
     ),
+    "graph-nested-too-deeply": (["bench", "--graph", "{doc}", "--out", "{dir}/run"], DEEP),
+    "verify-graph-nested-too-deeply": (["verify", "--graph", "{doc}", "--embedding", "{file}"], DEEP),
+    "embedding-nested-too-deeply": (
+        ["verify", "--graph", "{instance}", "--embedding", "{doc}", "--chimera-k", "1"], DEEP
+    ),
+    "timing-profile-nested-too-deeply": (
+        ["bench", "--graph", "{instance}", "--timing-profile", "{doc}", "--out", "{dir}/run"], DEEP
+    ),
 }
 
 # rows whose message must begin with what names the fault
 NAMED = {
+    "graph-nested-too-deeply": "invalid JSON: ",
+    "verify-graph-nested-too-deeply": "invalid JSON: ",
+    "embedding-nested-too-deeply": "embedding file: invalid JSON: ",
+    "timing-profile-nested-too-deeply": "timing profile: invalid JSON: ",
     "graph-misspelt": "unrecognized arguments: --grap ",
     "verify-graph-misspelt": "unrecognized arguments: --gra ",
     "timing-profile-not-json": "timing profile: invalid JSON: ",
